@@ -170,7 +170,7 @@ def render_report(report: BenchReport, fmt: str = "table") -> str:
         lines += [fmt_row(r) for r in rows]
         return "\n".join(lines)
 
-    if fmt in ("csv", "comma-separated"):
+    if fmt == "csv":
         lines = [_CSV_HEADER]
         for result in report.results:
             lines.append(

@@ -69,7 +69,7 @@ def encode_block(c: CurveParams, params: EncodingParams, m: int) -> Point:
 def decode_block(params: EncodingParams, pt: Point) -> int:
     if pt.is_identity:
         raise IdentityPointError("identity carries no message block")
-    m = pt.x.value // params.kappa
+    m = pt.x // params.kappa
     if m >= (1 << params.block_bits):
         raise DecodeRangeError(
             f"decoded value {m} does not fit in {params.block_bits} bits"

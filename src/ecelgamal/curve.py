@@ -1,13 +1,13 @@
 """The elliptic-curve group over a prime field.
 
-Points are affine coordinate pairs with an explicit identity element; the
-group law is the chord-tangent construction and scalar multiplication is
-plain most-significant-bit-first double-and-add (no windowing, no signed
-recoding), so results are bit-for-bit reproducible.
+Points are affine pairs of canonical ints in [0, p) with an explicit
+identity element; the group law is the chord-tangent construction and
+scalar multiplication is plain most-significant-bit-first double-and-add.
 
 Scalar multiplication dispatches to the compiled kernel when it is
 available and to a pure-Python loop otherwise; both produce identical
-points.  Use :func:`set_backend` to pin one explicitly.
+points, as any correct method must, since k*P is unique.  Use
+:func:`set_backend` to pin one explicitly.
 """
 
 from __future__ import annotations
@@ -20,24 +20,31 @@ from . import _native
 from .errors import (
     BadOrder,
     CurveTooLarge,
-    FormatError,
     GeneratorOffCurve,
     MixedCurve,
     OffCurveInput,
     SingularCurve,
     UnknownCurve,
 )
-from .field import FieldElement, PrimeModulus, from_hex, invmod, sqrt_mod, to_hex
+from .field import (
+    FieldElement,
+    PrimeModulus,
+    from_hex,
+    invmod,
+    parse_fields,
+    sqrt_mod,
+    to_hex,
+)
 
 ENUMERATION_BOUND = 1 << 20  # largest p for which brute-force walks are allowed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
-    """Affine curve point, or the identity when both coordinates are None."""
+    """Affine curve point as two ints, or the identity when both are None."""
 
-    x: FieldElement | None
-    y: FieldElement | None
+    x: int | None
+    y: int | None
 
     def __post_init__(self):
         if (self.x is None) != (self.y is None):
@@ -52,14 +59,14 @@ class Point:
         return cls(None, None)
 
     def coords(self) -> tuple[int, int]:
-        if self.x is None or self.y is None:
+        if self.x is None:
             raise ValueError("identity has no coordinates")
-        return (self.x.value, self.y.value)
+        return (self.x, self.y)
 
     def __repr__(self) -> str:
         if self.is_identity:
             return "Point(identity)"
-        return f"Point({self.x.value}, {self.y.value})"
+        return f"Point({self.x}, {self.y})"
 
 
 IDENTITY = Point.identity()
@@ -69,7 +76,7 @@ class CurveParams:
     """Public parameters (p, a, b, G, n) of a curve with generator order n.
 
     Construction validates non-singularity, that G lies on the curve, and
-    that n annihilates G.
+    that n annihilates G.  `a` and `b` are reduced FieldElement records.
     """
 
     def __init__(self, p, a: int, b: int, gx: int, gy: int, n: int,
@@ -86,28 +93,19 @@ class CurveParams:
         if (4 * av * av * av + 27 * bv * bv) % pv == 0:
             raise SingularCurve(f"4a^3 + 27b^2 = 0 mod {pv}")
 
-        g = Point(FieldElement(gx, self.modulus), FieldElement(gy, self.modulus))
-        if not self._on_curve_raw(g.x.value, g.y.value):
+        self.g = Point(gx % pv, gy % pv)
+        if not is_on_curve(self, self.g):
             raise GeneratorOffCurve(f"({gx}, {gy}) not on E_{pv}({av}, {bv})")
-        self.g = g
 
         if self.n <= 1:
             raise BadOrder(f"generator order must exceed 1, got {n}")
         if not scalar_mul(self, self.n, self.g).is_identity:
             raise BadOrder(f"n*G is not the identity for n = {n}")
 
-    def _on_curve_raw(self, x: int, y: int) -> bool:
-        p = self.p
-        return (y * y - (x * x * x + self.a.value * x + self.b.value)) % p == 0
-
-    def field(self, value: int) -> FieldElement:
-        return FieldElement(value, self.modulus)
-
     def point(self, x: int, y: int) -> Point:
-        """Validated affine point; raises OffCurveInput for non-solutions."""
-        pt = Point(self.field(x), self.field(y))
-        if not self._on_curve_raw(pt.x.value, pt.y.value):
-            raise OffCurveInput(f"({x}, {y}) not on {self!r}")
+        """Validated affine point; see _require_member for what is rejected."""
+        pt = Point(x, y)
+        _require_member(self, pt)
         return pt
 
     def _key(self):
@@ -125,85 +123,78 @@ class CurveParams:
 
 
 def _require_member(c: CurveParams, pt: Point, what: str = "point") -> None:
+    """The one membership check behind every entry point.
+
+    MixedCurve for a coordinate outside [0, p), as a point of a larger
+    curve has; OffCurveInput when the curve equation does not hold.
+    """
     if not isinstance(pt, Point):
         raise TypeError(f"{what} must be a Point, got {type(pt).__name__}")
-    if pt.is_identity:
+    x, y = pt.x, pt.y
+    if x is None:
         return
-    if pt.x.modulus.value != c.p:
-        raise MixedCurve(
-            f"{what} is over F_{pt.x.modulus.value}, curve is over F_{c.p}"
-        )
-    if not c._on_curve_raw(pt.x.value, pt.y.value):
-        raise OffCurveInput(f"{what} ({pt.x.value}, {pt.y.value}) not on {c!r}")
+    p = c.p
+    if not (0 <= x < p and 0 <= y < p):
+        raise MixedCurve(f"{what} ({x}, {y}) has a coordinate outside [0, {p})")
+    if (y * y - (x * x * x + c.a.value * x + c.b.value)) % p:
+        raise OffCurveInput(f"{what} ({x}, {y}) not on {c!r}")
 
 
 def is_on_curve(c: CurveParams, pt: Point) -> bool:
-    """True for the identity and for affine solutions of the curve equation."""
-    if pt.is_identity:
-        return True
-    if pt.x.modulus.value != c.p:
+    """True for the identity and for canonical solutions of the curve equation."""
+    try:
+        _require_member(c, pt)
+    except OffCurveInput:  # MixedCurve included
         return False
-    return c._on_curve_raw(pt.x.value, pt.y.value)
+    return True
 
 
 def point_neg(c: CurveParams, pt: Point) -> Point:
     _require_member(c, pt)
     if pt.is_identity:
         return pt
-    return Point(pt.x, -pt.y)
+    return Point(pt.x, -pt.y % c.p)
 
 
-# -- raw group law on integer pairs (None is the identity) --
+# -- group law on members, without the membership check --
 
-def _add_raw(c: CurveParams, P, Q):
-    if P is None:
+def _add(c: CurveParams, P: Point, Q: Point) -> Point:
+    if P.x is None:
         return Q
-    if Q is None:
+    if Q.x is None:
         return P
     p = c.p
-    x1, y1 = P
-    x2, y2 = Q
+    x1, y1 = P.x, P.y
+    x2, y2 = Q.x, Q.y
     if x1 == x2:
         if (y1 + y2) % p == 0:
-            return None
-        return _double_raw(c, P)
+            return IDENTITY
+        return _double(c, P)
     lam = (y2 - y1) * invmod(x2 - x1, p) % p
     x3 = (lam * lam - x1 - x2) % p
-    return (x3, (lam * (x1 - x3) - y1) % p)
+    return Point(x3, (lam * (x1 - x3) - y1) % p)
 
 
-def _double_raw(c: CurveParams, P):
-    if P is None:
-        return None
+def _double(c: CurveParams, P: Point) -> Point:
     p = c.p
-    x1, y1 = P
-    if y1 == 0:
-        return None
+    x1, y1 = P.x, P.y
+    if x1 is None or y1 == 0:
+        return IDENTITY
     lam = (3 * x1 * x1 + c.a.value) * invmod(2 * y1, p) % p
     x3 = (lam * lam - 2 * x1) % p
-    return (x3, (lam * (x1 - x3) - y1) % p)
-
-
-def _wrap(c: CurveParams, raw) -> Point:
-    if raw is None:
-        return IDENTITY
-    return Point(c.field(raw[0]), c.field(raw[1]))
-
-
-def _unwrap(pt: Point):
-    return None if pt.is_identity else (pt.x.value, pt.y.value)
+    return Point(x3, (lam * (x1 - x3) - y1) % p)
 
 
 def point_add(c: CurveParams, P: Point, Q: Point) -> Point:
     """Chord-tangent sum of two curve members."""
     _require_member(c, P, "left operand")
     _require_member(c, Q, "right operand")
-    return _wrap(c, _add_raw(c, _unwrap(P), _unwrap(Q)))
+    return _add(c, P, Q)
 
 
 def point_double(c: CurveParams, P: Point) -> Point:
     _require_member(c, P)
-    return _wrap(c, _double_raw(c, _unwrap(P)))
+    return _double(c, P)
 
 
 # -- scalar multiplication with backend dispatch --
@@ -232,12 +223,12 @@ def active_backend() -> str:
     return "native" if _native.load_kernel() is not None else "python"
 
 
-def _scalar_mul_python(c: CurveParams, k: int, raw):
-    acc = None
+def _scalar_mul_python(c: CurveParams, k: int, P: Point) -> Point:
+    acc = IDENTITY
     for bit in range(k.bit_length() - 1, -1, -1):
-        acc = _double_raw(c, acc)
+        acc = _double(c, acc)
         if (k >> bit) & 1:
-            acc = _add_raw(c, acc, raw)
+            acc = _add(c, acc, P)
     return acc
 
 
@@ -246,16 +237,16 @@ def scalar_mul(c: CurveParams, k: int, P: Point) -> Point:
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"scalar must be a non-negative integer, got {k!r}")
     _require_member(c, P)
-    raw = _unwrap(P)
-    if raw is None or k == 0:
+    if P.is_identity or k == 0:
         return IDENTITY
 
     if active_backend() == "native" and k.bit_length() <= 64 * _native.MAX_SCALAR_LIMBS:
         kernel = _native.load_kernel()
         if c._native_ctx is None:
             c._native_ctx = kernel.field_context(c.p, c.a.value)
-        return _wrap(c, kernel.scalar_mul(c._native_ctx, k, raw))
-    return _wrap(c, _scalar_mul_python(c, k, raw))
+        xy = kernel.scalar_mul(c._native_ctx, k, (P.x, P.y))
+        return IDENTITY if xy is None else Point(*xy)
+    return _scalar_mul_python(c, k, P)
 
 
 # -- brute-force helpers, only for curves small enough to walk --
@@ -284,13 +275,10 @@ def point_order(c: CurveParams, P: Point) -> int:
     if c.p >= ENUMERATION_BOUND:
         raise CurveTooLarge(f"p = {c.p} exceeds the enumeration bound")
     _require_member(c, P)
-    raw = _unwrap(P)
-    if raw is None:
-        return 1
-    acc = raw
+    acc = P
     order = 1
-    while acc is not None:
-        acc = _add_raw(c, acc, raw)
+    while not acc.is_identity:
+        acc = _add(c, acc, P)
         order += 1
     return order
 
@@ -302,41 +290,20 @@ _CURVE_FIELDS = ("name", "p", "a", "b", "Gx", "Gy", "n")
 
 def parse_curve_records(text: str) -> list[CurveParams]:
     """Parse 'key = value' records separated by blank lines."""
+    lines = text.splitlines()
     curves = []
-    record: dict[str, str] = {}
-
-    def flush():
-        if not record:
-            return
-        missing = [f for f in _CURVE_FIELDS if f not in record]
-        if missing:
-            raise FormatError(f"curve record missing fields: {', '.join(missing)}")
-        curves.append(CurveParams(
-            from_hex(record["p"]),
-            from_hex(record["a"]),
-            from_hex(record["b"]),
-            from_hex(record["Gx"]),
-            from_hex(record["Gy"]),
-            from_hex(record["n"]),
-            name=record["name"],
-        ))
-        record.clear()
-
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped:
-            flush()
+    start = 0
+    for end, line in enumerate(lines + [""]):
+        if line.strip():
             continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise FormatError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = key.strip(), value.strip()
-        if key not in _CURVE_FIELDS:
-            raise FormatError(f"line {lineno}: unknown field {key!r}")
-        if key in record:
-            raise FormatError(f"line {lineno}: duplicate field {key!r}")
-        record[key] = value
-    flush()
+        if end > start:
+            record = parse_fields(lines[start:end], start + 1,
+                                  _CURVE_FIELDS, _CURVE_FIELDS)
+            curves.append(CurveParams(
+                *(from_hex(record[key]) for key in _CURVE_FIELDS[1:]),
+                name=record["name"],
+            ))
+        start = end + 1
     return curves
 
 

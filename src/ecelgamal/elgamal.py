@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .codec import (
+    BLOCK_BITS_CHOICES,
     EncodingParams,
     decode_block,
     encode_block,
@@ -32,7 +33,7 @@ from .curve import (
     scalar_mul,
 )
 from .errors import EncodingFailure, FormatError, KeyConsistencyError
-from .field import from_hex, to_hex
+from .field import from_hex, parse_fields, to_hex
 from .pipeline import CiphertextBlock, ExecMode, run_encrypt_pipeline
 
 
@@ -164,47 +165,29 @@ def render_keypair(kp: KeyPair, include_secret: bool = True) -> str:
     return "\n".join(lines)
 
 
-def _parse_kv_lines(text: str, allowed: tuple[str, ...]) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise FormatError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = key.strip(), value.strip()
-        if key not in allowed:
-            raise FormatError(f"line {lineno}: unknown field {key!r}")
-        if key in fields:
-            raise FormatError(f"line {lineno}: duplicate field {key!r}")
-        fields[key] = value
-    return fields
+_KEY_FIELDS = ("curve", "secret", "pub.x", "pub.y")
+
+
+def _parse_key_file(text: str, required: tuple[str, ...]):
+    fields = parse_fields(text.splitlines(), 1, _KEY_FIELDS, required)
+    c = get_curve(fields["curve"])
+    public = c.point(from_hex(fields["pub.x"]), from_hex(fields["pub.y"]))
+    return c, public, fields.get("secret")
 
 
 def parse_public_key(text: str) -> tuple[CurveParams, Point]:
     """Curve and public point from a key file, full or public-only."""
-    fields = _parse_kv_lines(text, ("curve", "secret", "pub.x", "pub.y"))
-    for required in ("curve", "pub.x", "pub.y"):
-        if required not in fields:
-            raise FormatError(f"key file missing field {required!r}")
-    c = get_curve(fields["curve"])
-    public = c.point(from_hex(fields["pub.x"]), from_hex(fields["pub.y"]))
-    if "secret" in fields:
+    c, public, secret = _parse_key_file(text, ("curve", "pub.x", "pub.y"))
+    if secret is not None:
         # full key file: reject silently corrupted ones here too
-        KeyPair(c, from_hex(fields["secret"]), public)
+        KeyPair(c, from_hex(secret), public)
     return c, public
 
 
 def parse_keypair(text: str) -> KeyPair:
     """Full key pair; re-derives and checks the public half."""
-    fields = _parse_kv_lines(text, ("curve", "secret", "pub.x", "pub.y"))
-    for required in ("curve", "secret", "pub.x", "pub.y"):
-        if required not in fields:
-            raise FormatError(f"key file missing field {required!r}")
-    c = get_curve(fields["curve"])
-    public = c.point(from_hex(fields["pub.x"]), from_hex(fields["pub.y"]))
-    return KeyPair(c, from_hex(fields["secret"]), public)
+    c, public, secret = _parse_key_file(text, _KEY_FIELDS)
+    return KeyPair(c, from_hex(secret), public)
 
 
 # -- ciphertext file format --
@@ -249,35 +232,31 @@ def _parse_point_tokens(c: CurveParams, tokens: list[str], lineno: int) -> Point
     return c.point(x, y)
 
 
+_HEADER_FIELDS = ("curve", "block_bits", "kappa", "length")
+
+
 def parse_ciphertext(text: str) -> Ciphertext:
     lines = text.splitlines()
-    header: dict[str, str] = {}
-    body_start = 0
-    for i, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            body_start = i
-            break
-        key, _, value = stripped.partition("=")
-        header[key.strip()] = value.strip()
-        body_start = i + 1
-
-    for required in ("curve", "block_bits", "kappa", "length"):
-        if required not in header:
-            raise FormatError(f"ciphertext header missing {required!r}")
-    extra = set(header) - {"curve", "block_bits", "kappa", "length"}
-    if extra:
-        raise FormatError(f"ciphertext header has unknown fields: {sorted(extra)}")
+    # the header runs up to the first non-blank line without '='
+    body_start = next(
+        (i for i, line in enumerate(lines) if line.strip() and "=" not in line),
+        len(lines),
+    )
+    header = parse_fields(lines[:body_start], 1, _HEADER_FIELDS, _HEADER_FIELDS)
 
     c = get_curve(header["curve"])
     try:
-        block_bits = int(header["block_bits"])
-        kappa = int(header["kappa"])
-        length = int(header["length"])
+        block_bits, kappa, length = (int(header[key]) for key in _HEADER_FIELDS[1:])
     except ValueError as exc:
         raise FormatError(f"ciphertext header not numeric: {exc}") from None
+    if block_bits not in BLOCK_BITS_CHOICES:
+        raise FormatError(
+            f"block_bits must be one of {BLOCK_BITS_CHOICES}, got {block_bits}"
+        )
+    if kappa < 2:
+        raise FormatError(f"kappa must be at least 2, got {kappa}")
+    if length < 0:
+        raise FormatError(f"length cannot be negative, got {length}")
 
     blocks = []
     for lineno, line in enumerate(lines[body_start:], body_start + 1):
@@ -291,7 +270,7 @@ def parse_ciphertext(text: str) -> Ciphertext:
             raise FormatError(f"line {lineno}: trailing tokens {tokens}")
         blocks.append(CiphertextBlock(c1, c2))
 
-    step = max(1, block_bits // 8)
+    step = block_bits // 8
     expected = (length + step - 1) // step
     if expected != len(blocks):
         raise FormatError(

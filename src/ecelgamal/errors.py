@@ -11,10 +11,6 @@ class InvalidModulus(EcError):
     """Modulus is not an odd prime in the supported range."""
 
 
-class ModulusMismatch(EcError):
-    """Two field elements from different fields were combined."""
-
-
 # --- curve construction and group operations ---
 
 class SingularCurve(EcError):
@@ -33,8 +29,8 @@ class OffCurveInput(EcError):
     """A point handed to a group operation is not on the curve."""
 
 
-class MixedCurve(EcError):
-    """Operands belong to different curves."""
+class MixedCurve(OffCurveInput):
+    """A coordinate lies outside [0, p), as one from a larger curve does."""
 
 
 class CurveTooLarge(EcError):

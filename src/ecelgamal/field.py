@@ -1,9 +1,8 @@
-"""Prime-field arithmetic.
+"""Prime-field arithmetic and the shared text-format helpers.
 
-Residues are plain Python integers kept in canonical form [0, p).  The
-:class:`FieldElement` wrapper adds modulus tracking so that values from
-different fields cannot be mixed silently; the int-level helpers at the
-bottom are used directly by the curve code on its hot paths.
+Residues are plain Python integers kept in canonical form [0, p); the
+int-level helpers here are what the curve code uses.  :class:`FieldElement`
+only records a reduced curve coefficient together with its modulus.
 
 When gmpy2 is installed its modexp/modinv routines are used in place of
 CPython's (same results, several times faster); everything works without it.
@@ -15,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidModulus, ModulusMismatch
+from .errors import FormatError, InvalidModulus
 
 try:
     from gmpy2 import invert as _gmp_invert, powmod as _gmp_powmod
@@ -113,10 +112,10 @@ class PrimeModulus:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """A residue in canonical form [0, p).
+    """A residue in canonical form [0, p), kept as a record with its modulus.
 
     Construction reduces any integer, so negative values and values at or
-    above p are accepted and normalized.
+    above p are accepted and normalized.  Arithmetic is done on plain ints.
     """
 
     value: int
@@ -125,70 +124,11 @@ class FieldElement:
     def __post_init__(self):
         object.__setattr__(self, "value", self.value % self.modulus.value)
 
-    # -- arithmetic --
-
-    def _check_same_field(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        p = self.modulus.value
-        if other.modulus.value != p:
-            raise ModulusMismatch(
-                f"mixed moduli: {p} vs {other.modulus.value}"
-            )
-        return p
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        p = self._check_same_field(other)
-        return FieldElement((self.value + other.value) % p, self.modulus)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        p = self._check_same_field(other)
-        return FieldElement((self.value - other.value) % p, self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        p = self._check_same_field(other)
-        return FieldElement((self.value * other.value) % p, self.modulus)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.modulus)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        p = self._check_same_field(other)
-        return FieldElement(self.value * invmod(other.value, p), self.modulus)
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        if not isinstance(exponent, int):
-            raise TypeError("exponent must be an integer")
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        return FieldElement(powmod(self.value, exponent, self.modulus.value), self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(invmod(self.value, self.modulus.value), self.modulus)
-
-    # -- residue character --
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def is_quadratic_residue(self) -> bool:
-        """Euler criterion; zero counts as a residue."""
-        return is_quadratic_residue(self.value, self.modulus.value)
-
-    def sqrt(self):
-        """Both square roots as (r, p - r) with r <= p - r, or None."""
-        root = sqrt_mod(self.value, self.modulus.value)
-        if root is None:
-            return None
-        p = self.modulus.value
-        other = (p - root) % p
-        return (FieldElement(root, self.modulus), FieldElement(other, self.modulus))
+    def __int__(self) -> int:
+        return self.value
 
     def __repr__(self) -> str:
         return f"FieldElement({self.value} mod {self.modulus.value})"
-
-    def __int__(self) -> int:
-        return self.value
 
 
 def is_quadratic_residue(a: int, p: int) -> bool:
@@ -261,3 +201,32 @@ def from_hex(text: str) -> int:
     if not t or any(ch not in "0123456789abcdefABCDEF" for ch in t):
         raise ValueError(f"not a hex integer: {text!r}")
     return int(t, 16)
+
+
+# -- the 'key = value' records of curve, key and ciphertext files --
+
+def parse_fields(lines, first_lineno: int, allowed, required) -> dict[str, str]:
+    """'key = value' lines into a dict; blank lines are skipped.
+
+    Raises FormatError on a line without '=', an unknown or duplicated key,
+    or a missing required key.  Line numbers in messages start at
+    `first_lineno`.
+    """
+    fields: dict[str, str] = {}
+    for lineno, line in enumerate(lines, first_lineno):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        key, sep, value = stripped.partition("=")
+        if not sep:
+            raise FormatError(f"line {lineno}: expected 'key = value', got {line!r}")
+        key = key.strip()
+        if key not in allowed:
+            raise FormatError(f"line {lineno}: unknown field {key!r}")
+        if key in fields:
+            raise FormatError(f"line {lineno}: duplicate field {key!r}")
+        fields[key] = value.strip()
+    missing = [key for key in required if key not in fields]
+    if missing:
+        raise FormatError(f"missing fields: {', '.join(missing)}")
+    return fields

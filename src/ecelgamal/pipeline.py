@@ -241,10 +241,6 @@ class SharedRegion:
             handle.recorder("read_slot", slot)
         return self._values[slot]
 
-    def is_written(self, handle: LockHandle, slot: str) -> bool:
-        self._check_held(handle, slot)
-        return self._written[slot]
-
     def reset(self, handle: LockHandle) -> None:
         """Return both slots to empty; done between blocks by worker 1."""
         self._check_held(handle, self.SLOT_KG)

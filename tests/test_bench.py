@@ -149,10 +149,6 @@ class TestRendering:
             assert recovered.throughput_bps == round(original.throughput_bps, 2)
         assert parsed.speedup == round(self.REPORT.speedup, 2)
 
-    def test_csv_accepts_alias(self):
-        assert render_report(self.REPORT, "comma-separated") == render_report(
-            self.REPORT, "csv")
-
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render_report(self.REPORT, "yaml")

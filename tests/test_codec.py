@@ -52,7 +52,7 @@ class TestEncodeBlock:
         assert min(table[16]) == 4
         pt = encode_block(tiny, TINY_PARAMS, 3)
         assert pt.coords() == (6, 4)
-        assert pt.x.value // TINY_PARAMS.kappa == 3
+        assert pt.x // TINY_PARAMS.kappa == 3
         assert is_on_curve(tiny, pt)
 
     def test_deterministic(self, tiny, c256):

@@ -31,7 +31,6 @@ from ecelgamal.errors import (
     SingularCurve,
     UnknownCurve,
 )
-from ecelgamal.field import FieldElement, PrimeModulus
 
 from .reference import (
     chord_tangent_add,
@@ -88,7 +87,7 @@ class TestPointType:
 
     def test_half_specified_rejected(self):
         with pytest.raises(ValueError):
-            Point(FieldElement(3, PrimeModulus(23)), None)
+            Point(3, None)
 
     def test_identity_has_no_coords(self):
         with pytest.raises(ValueError):
@@ -106,13 +105,19 @@ class TestOnCurve:
         assert is_on_curve(tiny, tiny.point(3, 10))
 
     def test_known_non_member(self, tiny):
-        pt = Point(tiny.field(3), tiny.field(11))
-        assert not is_on_curve(tiny, pt)
+        assert not is_on_curve(tiny, Point(3, 11))
 
     def test_foreign_modulus_is_not_member(self, tiny):
-        mod29 = PrimeModulus(29)
-        pt = Point(FieldElement(3, mod29), FieldElement(10, mod29))
-        assert not is_on_curve(tiny, pt)
+        # a coordinate from a larger field, here 26 in F_29, lies outside
+        # [0, 23) even though (26, 10) satisfies the equation mod 23
+        assert not is_on_curve(tiny, Point(3 + 23, 10))
+        assert not is_on_curve(tiny, Point(3, 10 - 23))
+
+    def test_non_canonical_point_rejected(self, tiny):
+        with pytest.raises(MixedCurve):
+            tiny.point(3 + 23, 10)
+        with pytest.raises(MixedCurve):
+            scalar_mul(tiny, 2, Point(3, 10 + 23))
 
 
 class TestNegation:
@@ -128,7 +133,10 @@ class TestNegation:
 
     def test_off_curve_rejected(self, tiny):
         with pytest.raises(OffCurveInput):
-            point_neg(tiny, Point(tiny.field(3), tiny.field(11)))
+            point_neg(tiny, Point(3, 11))
+
+    def test_negated_zero_ordinate_stays_canonical(self, tiny):
+        assert point_neg(tiny, tiny.point(4, 0)) == tiny.point(4, 0)
 
 
 class TestAddition:
@@ -180,7 +188,7 @@ class TestAddition:
 
     def test_off_curve_rejected(self, tiny):
         with pytest.raises(OffCurveInput):
-            point_add(tiny, tiny.g, Point(tiny.field(3), tiny.field(11)))
+            point_add(tiny, tiny.g, Point(3, 11))
 
 
 class TestDoubling:

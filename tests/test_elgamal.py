@@ -24,9 +24,11 @@ from ecelgamal.errors import (
     EncodingFailure,
     FormatError,
     KeyConsistencyError,
+    MixedCurve,
     OffCurveInput,
     UnknownCurve,
 )
+from ecelgamal.field import from_hex, to_hex
 from ecelgamal.pipeline import CiphertextBlock, ExecMode
 
 from .reference import repeated_add
@@ -127,7 +129,7 @@ class TestBlockCipher:
 
     def test_off_curve_rejected(self, tiny):
         from ecelgamal.curve import Point
-        bogus = Point(tiny.field(3), tiny.field(11))
+        bogus = Point(3, 11)
         with pytest.raises(OffCurveInput):
             encrypt_block(tiny, bogus, tiny.g, 2)
         with pytest.raises(OffCurveInput):
@@ -239,6 +241,14 @@ class TestKeyFiles:
         with pytest.raises(FormatError):
             parse_keypair("curve = tiny23\nwat = 1\n")
 
+    def test_non_canonical_public_rejected(self, c256):
+        kp = keygen(c256, random.Random(55))
+        x = kp.public.coords()[0]
+        text = render_keypair(kp, include_secret=False).replace(
+            f"pub.x = {to_hex(x)}", f"pub.x = {to_hex(x + c256.p)}")
+        with pytest.raises(MixedCurve):
+            parse_public_key(text)
+
 
 class TestCiphertextFiles:
     def _sample(self, c256):
@@ -289,6 +299,33 @@ class TestCiphertextFiles:
         )
         with pytest.raises(FormatError):
             parse_ciphertext(text)
+
+    def test_duplicate_header_field(self, c256):
+        _, _, ct = self._sample(c256)
+        text = render_ciphertext(ct).replace("kappa = 32\n", "kappa = 32\nkappa = 16\n")
+        with pytest.raises(FormatError, match="duplicate field 'kappa'"):
+            parse_ciphertext(text)
+
+    @pytest.mark.parametrize("line,edit", [
+        ("kappa = 32", "kappa = 0"),
+        ("kappa = 32", "kappa = 1"),
+        ("block_bits = 8", "block_bits = 12"),
+        ("length = 40", "length = -1"),
+    ])
+    def test_out_of_range_header_value(self, c256, line, edit):
+        kp, _, ct = self._sample(c256)
+        text = render_ciphertext(ct).replace(line + "\n", edit + "\n")
+        with pytest.raises(FormatError):
+            decrypt(parse_ciphertext(text), kp.secret)
+
+    def test_non_canonical_coordinate_rejected(self, c256):
+        _, _, ct = self._sample(c256)
+        lines = render_ciphertext(ct).splitlines()
+        parts = lines[4].split()
+        parts[0] = to_hex(from_hex(parts[0]) + c256.p)
+        lines[4] = " ".join(parts)
+        with pytest.raises(MixedCurve):
+            parse_ciphertext("\n".join(lines))
 
     def test_block_count_mismatch(self, c256):
         _, _, ct = self._sample(c256)
