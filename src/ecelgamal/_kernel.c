@@ -1,4 +1,5 @@
-/* Scalar-multiplication kernel over prime fields.
+/* Elliptic-curve kernel over prime fields: scalar multiplication, a
+ * fixed-base table for k*G, and the x-window residue search of the codec.
  *
  * Plain C, no libpython dependency: the Python side loads this as a shared
  * library through ctypes, so calls release the GIL and two worker threads
@@ -9,10 +10,18 @@
  * Reduction is plain schoolbook division (Knuth D); moduli of the shape
  * 2^(64*n) - c with c < 2^64 take a cheaper fold-the-high-half path.
  *
- * The accumulator inside scalar multiplication is Jacobian (X, Y, Z) to
+ * The accumulator of every scalar multiplication is Jacobian (X, Y, Z) to
  * avoid a field inversion per group operation; inputs and outputs are
- * affine, and the affine result is identical to the one the pure-Python
- * path computes step by step.
+ * affine.  k*P is unique, so each method gives the point the pure-Python
+ * path computes:
+ *   eck_scalar_mul     k * P by double-and-add, for any base;
+ *   eck_base_table     the affine points d * 16^i * G for d = 1..15, one
+ *                      row per 4-bit window, one inversion per row;
+ *   eck_base_mul       k * G from that table: one mixed add per nonzero
+ *                      window and no doublings, each row read by a full
+ *                      masked scan so the digit picks no memory address;
+ *   eck_encode_search  first x of a window with x^3 + ax + b a square, and
+ *                      the smaller root, by r = rhs^((p+1)/4) for p = 3 mod 4.
  */
 
 #include <stdint.h>
@@ -435,6 +444,19 @@ static void ctx_init(ecctx *c, const u64 *p, int nl, const u64 *a) {
     }
 }
 
+/* Affine (rx, ry) of q: 1 for the identity, -2 when Z has no inverse. */
+static int jp_to_affine(const ecctx *c, const jpoint *q, u64 *rx, u64 *ry) {
+    u64 zi[MAXL], zi2[MAXL];
+
+    if (jp_is_inf(q, c->nl)) return 1;
+    if (mod_inv(c, zi, q->Z) != 0) return -2;
+    mod_sqr(c, zi2, zi);
+    mod_mul(c, rx, q->X, zi2);
+    mod_mul(c, zi2, zi2, zi);
+    mod_mul(c, ry, q->Y, zi2);
+    return 0;
+}
+
 /* k * (px, py) by MSB-first double-and-add over the bits of k.
  * Returns 1 when the result is the identity, 0 for an affine result
  * written to (rx, ry), negative on invalid arguments. */
@@ -465,16 +487,166 @@ EXPORT int eck_scalar_mul(const u64 *p, int nl, const u64 *a,
             jp_add_affine(&ctx, &acc, &acc, px, py);
         }
     }
+    return jp_to_affine(&ctx, &acc, rx, ry);
+}
 
-    if (jp_is_inf(&acc, nl)) return 1;
+/* ---- fixed-base table: 4-bit windows, affine entries ----
+ *
+ * Row i holds d * 16^i * G for d = 1..15, each entry 2*nl + 1 limbs:
+ * x, y, then 1 when the multiple is the identity (only on tiny groups)
+ * and 0 otherwise.  A table of `rows` rows serves every k < 16^rows. */
 
-    u64 zi[MAXL], zi2[MAXL];
-    if (mod_inv(&ctx, zi, acc.Z) != 0) return -2;
-    mod_sqr(&ctx, zi2, zi);
-    mod_mul(&ctx, rx, acc.X, zi2);
-    mod_mul(&ctx, zi2, zi2, zi);
-    mod_mul(&ctx, ry, acc.Y, zi2);
+#define WIN 15  /* nonzero digits of a 4-bit window */
+
+EXPORT int eck_base_table(const u64 *p, int nl, const u64 *a,
+                          const u64 *gx, const u64 *gy, int rows, u64 *table) {
+    ecctx ctx;
+    jpoint pts[WIN + 1];  /* d * B for d = 1..16, B = 16^row * G */
+    u64 pre[WIN + 1][MAXL], inv[MAXL], zi[MAXL], zi2[MAXL], one[MAXL];
+    u64 bx[MAXL], by[MAXL];
+    int binf = 0, el = 2 * nl + 1;
+
+    if (nl < 1 || nl > MAXL || rows < 1) return -1;
+    ctx_init(&ctx, p, nl, a);
+    vzero(one, nl); one[0] = 1;
+    vset(bx, gx, nl);
+    vset(by, gy, nl);
+
+    for (int row = 0; row < rows; row++) {
+        u64 *out = table + (size_t)row * WIN * el;
+        if (binf) {  /* B = O, and so is every multiple of it */
+            for (int d = 0; d < WIN; d++) {
+                vzero(out + d * el, 2 * nl);
+                out[d * el + 2 * nl] = 1;
+            }
+            continue;
+        }
+        vset(pts[0].X, bx, nl);
+        vset(pts[0].Y, by, nl);
+        vset(pts[0].Z, one, nl);
+        for (int d = 1; d < WIN; d++) jp_add_affine(&ctx, &pts[d], &pts[d - 1], bx, by);
+        jp_double(&ctx, &pts[WIN], &pts[7]);  /* 16 * B, the next row's base */
+
+        /* Montgomery's trick: one inversion for the row, Z = 0 counted as 1 */
+        for (int d = 0; d <= WIN; d++) {
+            const u64 *z = jp_is_inf(&pts[d], nl) ? one : pts[d].Z;
+            if (d == 0) vset(pre[0], z, nl);
+            else mod_mul(&ctx, pre[d], pre[d - 1], z);
+        }
+        if (mod_inv(&ctx, inv, pre[WIN]) != 0) return -2;
+        for (int d = WIN; d >= 0; d--) {
+            int inf = jp_is_inf(&pts[d], nl);
+            u64 *x = d < WIN ? out + d * el : bx;
+            u64 *y = d < WIN ? x + nl : by;
+            if (d > 0) mod_mul(&ctx, zi, inv, pre[d - 1]);  /* 1 / Z_d */
+            else vset(zi, inv, nl);
+            if (inf) {
+                vzero(x, nl);
+                vzero(y, nl);
+            } else {
+                mod_mul(&ctx, inv, inv, pts[d].Z);
+                mod_sqr(&ctx, zi2, zi);
+                mod_mul(&ctx, x, pts[d].X, zi2);
+                mod_mul(&ctx, zi2, zi2, zi);
+                mod_mul(&ctx, y, pts[d].Y, zi2);
+            }
+            if (d < WIN) out[d * el + 2 * nl] = (u64)inf;
+            else binf = inf;
+        }
+    }
     return 0;
+}
+
+/* k * G from a table of eck_base_table; k has (rows + 15) / 16 limbs and
+ * k < 16^rows.  Same return codes as eck_scalar_mul. */
+EXPORT int eck_base_mul(const u64 *p, int nl, const u64 *a,
+                        const u64 *table, int rows, const u64 *k,
+                        u64 *rx, u64 *ry) {
+    ecctx ctx;
+    jpoint acc;
+    u64 sel[2 * MAXL + 1];
+    int el = 2 * nl + 1;
+
+    if (nl < 1 || nl > MAXL || rows < 1) return -1;
+    ctx_init(&ctx, p, nl, a);
+    jp_set_inf(&acc, nl);
+
+    for (int row = 0; row < rows; row++) {
+        u64 digit = (k[row / 16] >> (4 * (row % 16))) & 15;
+        const u64 *entries = table + (size_t)row * WIN * el;
+        vzero(sel, el);
+        for (int d = 0; d < WIN; d++) {
+            u64 mask = 0 - ((((u64)(d + 1) ^ digit) - 1) >> 63);  /* all ones iff d+1 == digit */
+            for (int t = 0; t < el; t++) sel[t] |= entries[d * el + t] & mask;
+        }
+        if (digit != 0 && !sel[2 * nl]) jp_add_affine(&ctx, &acc, &acc, sel, sel + nl);
+    }
+    return jp_to_affine(&ctx, &acc, rx, ry);
+}
+
+/* ---- the codec's x-window search ---- */
+
+/* r = x^e mod p by fixed 4-bit windows; the exponent e (nl limbs) is public */
+static void mod_pow(const ecctx *c, u64 *r, const u64 *x, const u64 *e) {
+    int nl = c->nl, started = 0;
+    u64 pw[16][MAXL];
+
+    vzero(pw[0], nl);
+    pw[0][0] = 1;
+    for (int d = 1; d < 16; d++) mod_mul(c, pw[d], pw[d - 1], x);
+    vset(r, pw[0], nl);
+    for (int i = 16 * nl - 1; i >= 0; i--) {
+        unsigned digit = (unsigned)(e[i / 16] >> (4 * (i % 16))) & 15;
+        if (started) {
+            for (int s = 0; s < 4; s++) mod_sqr(c, r, r);
+        }
+        if (digit) {
+            mod_mul(c, r, r, pw[digit]);
+            started = 1;
+        }
+    }
+}
+
+/* First x in [x0, x0 + count) with rhs = x^3 + ax + b a square mod p, and
+ * y the smaller of its roots r, p - r (y = 0 when rhs = 0).  Needs
+ * p = 3 mod 4, where r = rhs^((p+1)/4) is a root exactly when r^2 = rhs,
+ * and b reduced mod p.  Returns 0 with (rx, ry) set, 1 when no x of the
+ * window qualifies, -1 on invalid arguments or a window reaching p. */
+EXPORT int eck_encode_search(const u64 *p, int nl, const u64 *a, const u64 *b,
+                             const u64 *x0, u64 count, u64 *rx, u64 *ry) {
+    ecctx ctx;
+    u64 e[MAXL], x[MAXL], rhs[MAXL], r[MAXL], t[MAXL], one[MAXL];
+
+    if (nl < 1 || nl > MAXL || (p[0] & 3) != 3) return -1;
+    ctx_init(&ctx, p, nl, a);
+    vzero(one, nl);
+    one[0] = 1;
+
+    /* e = (p + 1) / 4, the carry out of p + 1 kept as bit 64*nl */
+    u64 carry = vadd(e, p, one, nl);
+    for (int i = 0; i < nl; i++) {
+        u64 next = i + 1 < nl ? e[i + 1] : carry;
+        e[i] = (e[i] >> 2) | (next << 62);
+    }
+
+    vset(x, x0, nl);
+    for (u64 i = 0; i < count; i++) {
+        if (vcmp(x, p, nl) >= 0) return -1;
+        mod_sqr(&ctx, rhs, x);
+        mod_add(&ctx, rhs, rhs, ctx.a);
+        mod_mul(&ctx, rhs, rhs, x);
+        mod_add(&ctx, rhs, rhs, b);
+        mod_pow(&ctx, r, rhs, e);
+        mod_sqr(&ctx, t, r);
+        if (vcmp(t, rhs, nl) == 0) {
+            vset(rx, x, nl);
+            vsub(t, p, r, nl);
+            vset(ry, !vis_zero(r, nl) && vcmp(t, r, nl) < 0 ? t : r, nl);
+            return 0;
+        }
+        vadd(x, x, one, nl);
+    }
+    return 1;
 }
 
 /* Sanity probe used by the loader to verify the library works: computes
@@ -487,56 +659,75 @@ EXPORT int eck_selftest(void) {
 }
 
 #ifdef ECK_BENCH_MAIN
+/* cc -O3 -DECK_BENCH_MAIN -o eck_bench src/ecelgamal/_kernel.c && ./eck_bench */
 #include <stdio.h>
 #include <time.h>
 
-static double now_ms(void) {
+static double now_us(void) {
     struct timespec ts;
     clock_gettime(CLOCK_MONOTONIC, &ts);
-    return ts.tv_sec * 1e3 + ts.tv_nsec / 1e6;
+    return ts.tv_sec * 1e6 + ts.tv_nsec / 1e3;
+}
+
+/* µs per generic scalar_mul, per fixed-base k*G, and per 32-candidate
+ * encode search on one 4-limb curve */
+static void bench_curve(const char *label, const u64 *p, const u64 *a, const u64 *b,
+                        const u64 *gx, const u64 *gy, int iters) {
+    static u64 table[64 * WIN * 9];
+    u64 k[4] = {0x0011223344556677ULL, 0x6789ABCDEF001122ULL,
+                0x0ADC0DE0DEADBEEFULL, 0x0C0FFEE0FACADE0BULL};
+    u64 rx[4], ry[4], x0[4] = {0, 0, 0, 0};
+    double t0 = now_us();
+    for (int i = 0; i < iters; i++) {
+        k[0] += 1;
+        eck_scalar_mul(p, 4, a, k, 4, gx, gy, 0, rx, ry);
+    }
+    double generic = (now_us() - t0) / iters;
+
+    t0 = now_us();
+    eck_base_table(p, 4, a, gx, gy, 64, table);
+    double build = now_us() - t0;
+    t0 = now_us();
+    for (int i = 0; i < iters; i++) {
+        k[0] += 1;
+        eck_base_mul(p, 4, a, table, 64, k, rx, ry);
+    }
+    double fixed = (now_us() - t0) / iters;
+
+    t0 = now_us();
+    for (int i = 0; i < iters; i++) {
+        x0[0] = (u64)i * 32;
+        eck_encode_search(p, 4, a, b, x0, 32, rx, ry);
+    }
+    double encode = (now_us() - t0) / iters;
+    printf("%s: scalar_mul %.1f us, base-table k*G %.1f us (table build %.0f us), "
+           "encode search %.1f us\n", label, generic, fixed, build, encode);
 }
 
 int main(void) {
-    /* secp256k1 */
+    printf("selftest: %d\n", eck_selftest());
+
     u64 p[4] = {0xFFFFFFFEFFFFFC2FULL, 0xFFFFFFFFFFFFFFFFULL,
                 0xFFFFFFFFFFFFFFFFULL, 0xFFFFFFFFFFFFFFFFULL};
     u64 a[4] = {0, 0, 0, 0};
+    u64 b[4] = {7, 0, 0, 0};
     u64 gx[4] = {0x59F2815B16F81798ULL, 0x029BFCDB2DCE28D9ULL,
                  0x55A06295CE870B07ULL, 0x79BE667EF9DCBBACULL};
     u64 gy[4] = {0x9C47D08FFB10D4B8ULL, 0xFD17B448A6855419ULL,
                  0x5DA4FBFC0E1108A8ULL, 0x483ADA7726A3C465ULL};
-    u64 k[4] = {0x0011223344556677ULL, 0x6789ABCDEF001122ULL,
-                0xADC0DE0DEADBEEFULL, 0x0C0FFEE0FACADE0BULL};
-    u64 rx[4], ry[4];
+    bench_curve("secp256k1 (fold path)", p, a, b, gx, gy, 2000);
 
-    printf("selftest: %d\n", eck_selftest());
-
-    int iters = 2000;
-    double t0 = now_ms();
-    for (int i = 0; i < iters; i++) {
-        k[0] = 0x0011223344556677ULL + (u64)i;
-        eck_scalar_mul(p, 4, a, k, 4, gx, gy, 0, rx, ry);
-    }
-    double dt = now_ms() - t0;
-    printf("secp256k1 (fold path): %.3f ms per scalar_mul\n", dt / iters);
-
-    /* secp256r1: generic division path */
     u64 pr[4] = {0xFFFFFFFFFFFFFFFFULL, 0x00000000FFFFFFFFULL,
                  0x0000000000000000ULL, 0xFFFFFFFF00000001ULL};
     u64 ar[4] = {0xFFFFFFFFFFFFFFFCULL, 0x00000000FFFFFFFFULL,
                  0x0000000000000000ULL, 0xFFFFFFFF00000001ULL};
+    u64 br[4] = {0x3BCE3C3E27D2604BULL, 0x651D06B0CC53B0F6ULL,
+                 0xB3EBBD55769886BCULL, 0x5AC635D8AA3A93E7ULL};
     u64 grx[4] = {0xF4A13945D898C296ULL, 0x77037D812DEB33A0ULL,
                   0xF8BCE6E563A440F2ULL, 0x6B17D1F2E12C4247ULL};
     u64 gry[4] = {0xCBB6406837BF51F5ULL, 0x2BCE33576B315ECEULL,
                   0x8EE7EB4A7C0F9E16ULL, 0x4FE342E2FE1A7F9BULL};
-    iters = 500;
-    t0 = now_ms();
-    for (int i = 0; i < iters; i++) {
-        k[0] = 0x0011223344556677ULL + (u64)i;
-        eck_scalar_mul(pr, 4, ar, k, 4, grx, gry, 0, rx, ry);
-    }
-    dt = now_ms() - t0;
-    printf("secp256r1 (div path):  %.3f ms per scalar_mul\n", dt / iters);
+    bench_curve("secp256r1 (div path) ", pr, ar, br, grx, gry, 500);
     return 0;
 }
 #endif

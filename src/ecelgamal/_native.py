@@ -1,4 +1,4 @@
-"""Build and load the compiled scalar-multiplication kernel.
+"""Build and load the compiled elliptic-curve kernel.
 
 The kernel is a small plain-C shared library (no libpython dependency)
 compiled on first use and cached.  Loading it through ctypes means calls
@@ -70,37 +70,62 @@ def _compile_into(directory: Path, so_name: str) -> Path | None:
         return None
 
 
+_U64P = ctypes.POINTER(ctypes.c_uint64)
+_INT = ctypes.c_int
+
+BASE_WINDOW_DIGITS = 15  # nonzero 4-bit digits: entries per fixed-base table row
+
+
+def _bind(fn, *argtypes):
+    fn.restype = ctypes.c_int
+    fn.argtypes = list(argtypes)
+    return fn
+
+
 class Kernel:
     """ctypes wrapper around the shared library."""
 
     def __init__(self, lib: ctypes.CDLL, path: Path):
         self.path = path
-        self._mul = lib.eck_scalar_mul
-        self._mul.restype = ctypes.c_int
-        self._mul.argtypes = [
-            ctypes.POINTER(ctypes.c_uint64), ctypes.c_int,   # p, nl
-            ctypes.POINTER(ctypes.c_uint64),                 # a
-            ctypes.POINTER(ctypes.c_uint64), ctypes.c_int,   # k, knl
-            ctypes.POINTER(ctypes.c_uint64),                 # px
-            ctypes.POINTER(ctypes.c_uint64), ctypes.c_int,   # py, pinf
-            ctypes.POINTER(ctypes.c_uint64),                 # rx
-            ctypes.POINTER(ctypes.c_uint64),                 # ry
-        ]
+        # p, nl, a, k, knl, px, py, pinf, rx, ry
+        self._mul = _bind(lib.eck_scalar_mul, _U64P, _INT, _U64P, _U64P, _INT,
+                          _U64P, _U64P, _INT, _U64P, _U64P)
+        # p, nl, a, gx, gy, rows, table
+        self._table = _bind(lib.eck_base_table, _U64P, _INT, _U64P, _U64P, _U64P,
+                            _INT, _U64P)
+        # p, nl, a, table, rows, k, rx, ry
+        self._base_mul = _bind(lib.eck_base_mul, _U64P, _INT, _U64P, _U64P, _INT,
+                               _U64P, _U64P, _U64P)
+        # p, nl, a, b, x0, count, rx, ry
+        self._search = _bind(lib.eck_encode_search, _U64P, _INT, _U64P, _U64P,
+                             _U64P, ctypes.c_uint64, _U64P, _U64P)
 
     @staticmethod
     def _limbs(value: int, nl: int):
         return (ctypes.c_uint64 * nl).from_buffer_copy(value.to_bytes(nl * 8, "little"))
 
-    def field_context(self, p: int, a: int):
+    @staticmethod
+    def _pair(rc: int, rx, ry, what: str):
+        """The (x, y) a kernel call wrote, or None for its 'no point' code 1."""
+        if rc == 1:
+            return None
+        if rc != 0:
+            raise RuntimeError(f"kernel rejected {what} (rc={rc})")
+        return (
+            int.from_bytes(bytes(rx), "little"),
+            int.from_bytes(bytes(ry), "little"),
+        )
+
+    def field_context(self, p: int, a: int, b: int):
         """Precomputed per-curve arrays; cache this on the curve object."""
         nl = max(1, (p.bit_length() + 63) // 64)
         if nl > MAX_LIMBS:
             raise ValueError(f"modulus needs {nl} limbs; kernel supports {MAX_LIMBS}")
-        return (nl, self._limbs(p, nl), self._limbs(a % p, nl))
+        return (nl, self._limbs(p, nl), self._limbs(a % p, nl), self._limbs(b % p, nl))
 
     def scalar_mul(self, ctx, k: int, point):
         """k * point; point is an (x, y) int pair or None for the identity."""
-        nl, p_arr, a_arr = ctx
+        nl, p_arr, a_arr, _ = ctx
         knl = max(1, (k.bit_length() + 63) // 64)
         if knl > MAX_SCALAR_LIMBS:
             raise ValueError("scalar too wide for the kernel")
@@ -115,14 +140,41 @@ class Kernel:
         rx = (ctypes.c_uint64 * nl)()
         ry = (ctypes.c_uint64 * nl)()
         rc = self._mul(p_arr, nl, a_arr, k_arr, knl, px, py, pinf, rx, ry)
-        if rc == 1:
-            return None
+        return self._pair(rc, rx, ry, "scalar multiplication")
+
+    def base_table(self, ctx, g, n: int):
+        """Fixed-base table of g serving every scalar below n; g is an (x, y) pair.
+
+        Row i holds d * 16^i * g for d = 1..15, affine.  The table is
+        complete when this returns; the caller may share it between threads.
+        """
+        nl, p_arr, a_arr, _ = ctx
+        rows = max(1, (n.bit_length() + 3) // 4)
+        table = (ctypes.c_uint64 * (rows * BASE_WINDOW_DIGITS * (2 * nl + 1)))()
+        rc = self._table(p_arr, nl, a_arr, self._limbs(g[0], nl),
+                         self._limbs(g[1], nl), rows, table)
         if rc != 0:
-            raise RuntimeError(f"kernel rejected scalar multiplication (rc={rc})")
-        return (
-            int.from_bytes(bytes(rx), "little"),
-            int.from_bytes(bytes(ry), "little"),
-        )
+            raise RuntimeError(f"kernel rejected the fixed-base table (rc={rc})")
+        return rows, table
+
+    def base_mul(self, ctx, table, k: int):
+        """k * g for the base g of `table`; 0 <= k < n, the table's bound."""
+        nl, p_arr, a_arr, _ = ctx
+        rows, entries = table
+        k_arr = self._limbs(k, (rows + 15) // 16)
+        rx = (ctypes.c_uint64 * nl)()
+        ry = (ctypes.c_uint64 * nl)()
+        rc = self._base_mul(p_arr, nl, a_arr, entries, rows, k_arr, rx, ry)
+        return self._pair(rc, rx, ry, "fixed-base multiplication")
+
+    def encode_search(self, ctx, x0: int, count: int):
+        """First (x, y) on the curve with x in [x0, x0 + count), y the smaller
+        root, or None.  Needs p = 3 (mod 4) and x0 + count <= p."""
+        nl, p_arr, a_arr, b_arr = ctx
+        rx = (ctypes.c_uint64 * nl)()
+        ry = (ctypes.c_uint64 * nl)()
+        rc = self._search(p_arr, nl, a_arr, b_arr, self._limbs(x0, nl), count, rx, ry)
+        return self._pair(rc, rx, ry, "encode search")
 
 
 def _try_load(path: Path) -> Kernel | None:

@@ -15,6 +15,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
+from ._native import kernel_status
 from .codec import EncodingParams
 from .curve import active_backend, get_curve
 from .elgamal import encrypt, keygen, random_nonces
@@ -75,7 +76,9 @@ class BenchReport:
 
 
 def host_environment() -> str:
-    return f"host cores: {os.cpu_count()}, scalar backend: {active_backend()}"
+    """Cores, active backend, and which kernel loaded or why none did."""
+    return (f"host cores: {os.cpu_count()}, scalar backend: {active_backend()}, "
+            f"kernel: {kernel_status()}")
 
 
 def run_bench(cfg: BenchConfig, clock=time.perf_counter) -> BenchReport:

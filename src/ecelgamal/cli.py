@@ -26,7 +26,7 @@ from .elgamal import (
     render_ciphertext,
     render_keypair,
 )
-from .errors import EcError
+from .errors import EcError, FormatError
 from .field import from_hex, to_hex
 from .pipeline import ExecMode
 
@@ -36,6 +36,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(1, f"{self.prog}: {message}\n")
+
+
+def _hex_arg(text: str) -> int:
+    """from_hex for argparse, which reports only its own error types as usage errors."""
+    try:
+        return from_hex(text)
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_payload(target: str) -> bytes:
@@ -131,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a key pair file")
     p.add_argument("--curve", required=True)
-    p.add_argument("--seed", required=True, type=from_hex, help="hex RNG seed")
+    p.add_argument("--seed", required=True, type=_hex_arg, help="hex RNG seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_keygen)
 
@@ -140,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="payload file or -")
     p.add_argument("--out", required=True, help="ciphertext file or -")
     p.add_argument("--mode", required=True, choices=["single", "dual"])
-    p.add_argument("--seed", type=from_hex,
+    p.add_argument("--seed", type=_hex_arg,
                    help="hex nonce seed; omit for system randomness")
     p.add_argument("--block-bits", type=int, default=8, choices=[8, 16, 32])
     p.add_argument("--kappa", type=int, default=32)
@@ -157,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bytes", type=int, default=1024)
     p.add_argument("--iters", type=int, default=5)
     p.add_argument("--modes", default="single,dual")
-    p.add_argument("--seed", type=from_hex, default=0xEC, help="hex seed")
+    p.add_argument("--seed", type=_hex_arg, default=0xEC, help="hex seed")
     p.add_argument("--format", choices=["table", "csv"], default="table")
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--block-bits", type=int, default=8, choices=[8, 16, 32])

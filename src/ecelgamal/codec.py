@@ -5,6 +5,11 @@ for which x^3 + ax + b is a quadratic residue; the point's y is the smaller
 of the two roots so the embedding is deterministic.  Decoding is integer
 division of x by kappa and ignores y entirely.
 
+With the compiled kernel active and p = 3 (mod 4), as on every shipped
+curve, one kernel call searches the whole window by r = rhs^((p+1)/4);
+otherwise each candidate goes through :func:`field.sqrt_mod`.  Both find
+the same point.
+
 Each candidate x misses with probability about 1/2, so a window of kappa
 candidates fails with probability about 2^-kappa; failures are reported,
 never papered over, because callers rely on the embedding being a pure
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import CurveParams, Point
+from .curve import CurveParams, Point, _native_context
 from .errors import (
     DecodeRangeError,
     EncodingFailure,
@@ -55,12 +60,18 @@ def encode_block(c: CurveParams, params: EncodingParams, m: int) -> Point:
 
     a, b, p = c.a.value, c.b.value, c.p
     base = m * params.kappa
-    for j in range(params.kappa):
-        x = base + j
-        rhs = (x * x * x + a * x + b) % p
-        root = sqrt_mod(rhs, p)
-        if root is not None:
-            return c.point(x, root)
+    # the kernel's candidate count is one 64-bit word
+    native = _native_context(c) if p % 4 == 3 and params.kappa < 1 << 64 else None
+    if native is not None:
+        kernel, ctx = native
+        xy = kernel.encode_search(ctx, base, params.kappa)
+        if xy is not None:
+            return c.point(*xy)
+    else:
+        for x in range(base, base + params.kappa):
+            root = sqrt_mod((x * x * x + a * x + b) % p, p)
+            if root is not None:
+                return c.point(x, root)
     raise EncodingFailure(
         f"no curve point in window [{base}, {base + params.kappa}) for block {m}"
     )

@@ -1,13 +1,15 @@
 """The elliptic-curve group over a prime field.
 
 Points are affine pairs of canonical ints in [0, p) with an explicit
-identity element; the group law is the chord-tangent construction and
-scalar multiplication is plain most-significant-bit-first double-and-add.
+identity element; the group law is the chord-tangent construction.
 
 Scalar multiplication dispatches to the compiled kernel when it is
-available and to a pure-Python loop otherwise; both produce identical
-points, as any correct method must, since k*P is unique.  Use
-:func:`set_backend` to pin one explicitly.
+available and to a pure-Python double-and-add loop otherwise.  In the
+kernel, multiples of the generator G use a fixed-base table of 4-bit
+windows, built on the first k*G and cached on the curve, and every other
+base uses double-and-add.  All three produce identical points, as any
+correct method must, since k*P is unique.  Use :func:`set_backend` to pin
+a backend explicitly.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ class CurveParams:
         self.n = int(n)
         self.name = name
         self._native_ctx = None
+        self._base_table = None  # the kernel's table for k*G, built on first use
 
         av, bv, pv = self.a.value, self.b.value, self.p
         if (4 * av * av * av + 27 * bv * bv) % pv == 0:
@@ -99,7 +102,8 @@ class CurveParams:
 
         if self.n <= 1:
             raise BadOrder(f"generator order must exceed 1, got {n}")
-        if not scalar_mul(self, self.n, self.g).is_identity:
+        # not scalar_mul: its table path reduces k mod n, so n*G would be 0*G
+        if not _scalar_mul_any_base(self, self.n, self.g).is_identity:
             raise BadOrder(f"n*G is not the identity for n = {n}")
 
     def point(self, x: int, y: int) -> Point:
@@ -223,6 +227,20 @@ def active_backend() -> str:
     return "native" if _native.load_kernel() is not None else "python"
 
 
+def _native_context(c: CurveParams):
+    """(kernel, the curve's cached field context), or None on the Python backend."""
+    if active_backend() != "native":
+        return None
+    kernel = _native.load_kernel()
+    if c._native_ctx is None:
+        c._native_ctx = kernel.field_context(c.p, c.a.value, c.b.value)
+    return kernel, c._native_ctx
+
+
+def _point_or_identity(xy) -> Point:
+    return IDENTITY if xy is None else Point(*xy)
+
+
 def _scalar_mul_python(c: CurveParams, k: int, P: Point) -> Point:
     acc = IDENTITY
     for bit in range(k.bit_length() - 1, -1, -1):
@@ -232,21 +250,38 @@ def _scalar_mul_python(c: CurveParams, k: int, P: Point) -> Point:
     return acc
 
 
+def _scalar_mul_any_base(c: CurveParams, k: int, P: Point) -> Point:
+    """k * P by double-and-add, in the kernel when it is active; P a member."""
+    native = _native_context(c)
+    if native is not None and k.bit_length() <= 64 * _native.MAX_SCALAR_LIMBS:
+        kernel, ctx = native
+        return _point_or_identity(kernel.scalar_mul(ctx, k, (P.x, P.y)))
+    return _scalar_mul_python(c, k, P)
+
+
 def scalar_mul(c: CurveParams, k: int, P: Point) -> Point:
-    """k * P over the bits of k, most significant first; 0 * P is the identity."""
+    """k * P; 0 * P is the identity.
+
+    On the kernel, P = G takes the fixed-base table with k reduced mod n,
+    which construction proved sound by checking n*G = O.
+    """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"scalar must be a non-negative integer, got {k!r}")
     _require_member(c, P)
     if P.is_identity or k == 0:
         return IDENTITY
 
-    if active_backend() == "native" and k.bit_length() <= 64 * _native.MAX_SCALAR_LIMBS:
-        kernel = _native.load_kernel()
-        if c._native_ctx is None:
-            c._native_ctx = kernel.field_context(c.p, c.a.value)
-        xy = kernel.scalar_mul(c._native_ctx, k, (P.x, P.y))
-        return IDENTITY if xy is None else Point(*xy)
-    return _scalar_mul_python(c, k, P)
+    native = _native_context(c) if P == c.g else None
+    if native is None:
+        return _scalar_mul_any_base(c, k, P)
+    kernel, ctx = native
+    table = c._base_table
+    if table is None:
+        # built in full before it is published, so a concurrent caller sees
+        # either no table (and builds its own, the same) or a complete one
+        table = kernel.base_table(ctx, c.g.coords(), c.n)
+        c._base_table = table
+    return _point_or_identity(kernel.base_mul(ctx, table, k % c.n))
 
 
 # -- brute-force helpers, only for curves small enough to walk --

@@ -197,9 +197,13 @@ def to_hex(value: int) -> str:
 
 
 def from_hex(text: str) -> int:
+    """The value of a hex field of a key, curve or ciphertext file.
+
+    FormatError when `text` is not a bare hex integer.
+    """
     t = text.strip()
     if not t or any(ch not in "0123456789abcdefABCDEF" for ch in t):
-        raise ValueError(f"not a hex integer: {text!r}")
+        raise FormatError(f"not a hex integer: {text!r}")
     return int(t, 16)
 
 

@@ -107,7 +107,7 @@ def _measured_parallel_capacity() -> float:
     if kernel is None:
         return 1.0  # GIL-bound fallback cannot run two workers in parallel
     curve = get_curve("secp256k1")
-    ctx = kernel.field_context(curve.p, curve.a.value)
+    ctx = kernel.field_context(curve.p, curve.a.value, curve.b.value)
     base_point = curve.g.coords()
     k0 = 0xB00750000000000000000000000000000000000000000000000000000000001
 

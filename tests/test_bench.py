@@ -11,6 +11,7 @@ from ecelgamal.bench import (
     run_bench,
     throughput_bps,
 )
+from ecelgamal._native import kernel_status
 from ecelgamal.errors import ModeMismatch
 from ecelgamal.pipeline import ExecMode
 
@@ -71,6 +72,7 @@ class TestRunBench:
         assert report.speedup == pytest.approx(
             compute_speedup(single.wall_time_ms, dual.wall_time_ms))
         assert "cores" in report.environment
+        assert report.environment.endswith(f"kernel: {kernel_status()}")
 
     def test_single_only_has_no_speedup(self):
         cfg = BenchConfig(modes=(ExecMode.SINGLE,), **self.CFG)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ecelgamal._native import kernel_status
 from ecelgamal.bench import parse_report_csv
 from ecelgamal.cli import main
 from ecelgamal.elgamal import parse_ciphertext, parse_keypair, render_keypair
@@ -38,6 +39,13 @@ class TestKeygen:
                    "--out", str(tmp_path / "x.key")])
         assert rc == 2
         assert "UnknownCurve" in capsys.readouterr().err
+
+    def test_non_hex_seed_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["keygen", "--curve", "tiny23", "--seed", "zz",
+                     "--out", str(tmp_path / "x.key")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--seed" in err and "not a hex integer" in err
 
     def test_missing_flag_exits_1(self, capsys):
         assert main(["keygen", "--curve", "tiny23"]) == 1
@@ -143,6 +151,7 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert out.startswith("# host cores:")
         lines = out.strip().splitlines()
+        assert f"kernel: {kernel_status()}" in lines[0]
         assert "Mode" in lines[1]
         assert len(lines) == 4  # env, header, two mode rows
 

@@ -241,6 +241,18 @@ class TestKeyFiles:
         with pytest.raises(FormatError):
             parse_keypair("curve = tiny23\nwat = 1\n")
 
+    @pytest.mark.parametrize("field", ["secret", "pub.x", "pub.y"])
+    def test_non_hex_value_rejected(self, tiny, field):
+        text = render_keypair(KeyPair(tiny, 3))
+        lines = [f"{field} = zz" if line.startswith(f"{field} =") else line
+                 for line in text.splitlines()]
+        with pytest.raises(FormatError, match="not a hex integer"):
+            parse_keypair("\n".join(lines))
+        if field != "secret":
+            public_only = [line for line in lines if not line.startswith("secret")]
+            with pytest.raises(FormatError, match="not a hex integer"):
+                parse_public_key("\n".join(public_only))
+
     def test_non_canonical_public_rejected(self, c256):
         kp = keygen(c256, random.Random(55))
         x = kp.public.coords()[0]
@@ -325,6 +337,16 @@ class TestCiphertextFiles:
         parts[0] = to_hex(from_hex(parts[0]) + c256.p)
         lines[4] = " ".join(parts)
         with pytest.raises(MixedCurve):
+            parse_ciphertext("\n".join(lines))
+
+    @pytest.mark.parametrize("token", [0, 1, 2, 3])
+    def test_non_hex_block_token(self, c256, token):
+        _, _, ct = self._sample(c256)
+        lines = render_ciphertext(ct).splitlines()
+        parts = lines[4].split()
+        parts[token] = "1x"
+        lines[4] = " ".join(parts)
+        with pytest.raises(FormatError, match="not a hex integer"):
             parse_ciphertext("\n".join(lines))
 
     def test_block_count_mismatch(self, c256):

@@ -217,7 +217,7 @@ class TestHexFormat:
 
     def test_rejects_junk(self):
         for bad in ("", "0x12", "12 34", "g1", "-5", "1_2"):
-            with pytest.raises(ValueError):
+            with pytest.raises(FormatError):
                 from_hex(bad)
 
     @given(st.integers(min_value=0, max_value=2**521))

@@ -1,0 +1,160 @@
+"""The kernel's fixed-base k*G and its x-window search against pure Python.
+
+Both kernel paths must give exactly the points the pure-Python path
+gives: k*P is unique, and so is the smallest-x embedding of a block.
+"""
+
+import random
+import threading
+
+import pytest
+
+from ecelgamal import _native, codec
+from ecelgamal import curve as curve_mod
+from ecelgamal.codec import EncodingParams, encode_block
+from ecelgamal.curve import CurveParams, Point, scalar_mul
+from ecelgamal.errors import BadOrder, EncodingFailure
+
+pytestmark = pytest.mark.skipif(
+    curve_mod.active_backend() != "native", reason="no native kernel to compare against"
+)
+
+FIVE_CURVES = ("tiny", "c192", "c256", "c256r", "c521")
+
+
+@pytest.fixture(params=FIVE_CURVES)
+def curve(request):
+    return request.getfixturevalue(request.param)
+
+
+def pure(fn, *args):
+    """fn(*args) with the pure-Python backend pinned."""
+    previous = curve_mod.set_backend("python")
+    try:
+        return fn(*args)
+    finally:
+        curve_mod.set_backend(previous)
+
+
+def fixed_base_scalars(c: CurveParams, rng: random.Random) -> list[int]:
+    """Edges around n, all-ones and single-digit 4-bit windows, random values."""
+    n = c.n
+    rows = (n.bit_length() + 3) // 4
+    step = max(1, rows // 12)  # a dozen window positions per curve
+    windows = sorted(set(range(1, rows + 1, step)) | {rows})
+    scalars = [0, 1, n - 1, n, n + 1, 2 * n - 1]
+    scalars += [(1 << (4 * m)) - 1 for m in windows if (1 << (4 * m)) - 1 < n]
+    scalars += [15 << (4 * i) for i in windows if i < rows] + [15 << (4 * (rows - 1))]
+    scalars += [rng.randrange(0, n) for _ in range(8)]
+    return scalars
+
+
+def window_params(c: CurveParams) -> EncodingParams:
+    if c.p < 1 << 8:
+        return EncodingParams(kappa=2, block_bits=3)
+    return EncodingParams(kappa=32, block_bits=32)
+
+
+class TestFixedBase:
+    def test_agrees_with_python(self, curve):
+        rng = random.Random(f"fixed-base:{curve.name}")
+        for k in fixed_base_scalars(curve, rng):
+            assert scalar_mul(curve, k, curve.g) == pure(scalar_mul, curve, k, curve.g), k
+
+    def test_every_scalar_of_tiny_groups(self, tiny):
+        # tiny23's table holds identity entries (7 * 16 * G = O), and n = 56
+        # is a multiple of the order rather than the order itself
+        doubled = CurveParams(23, 1, 1, 3, 10, 56)
+        for c in (tiny, doubled):
+            for k in range(3 * c.n):
+                assert scalar_mul(c, k, c.g) == pure(scalar_mul, c, k, c.g), (c.n, k)
+
+    def test_first_use_from_two_threads(self, c256):
+        fresh = CurveParams(c256.p, c256.a.value, c256.b.value, *c256.g.coords(), c256.n)
+        scalars = [random.Random(7).randrange(1, fresh.n) for _ in range(6)]
+        barrier = threading.Barrier(2)
+        results: dict[int, list[Point]] = {}
+
+        def worker(slot: int):
+            barrier.wait()
+            results[slot] = [scalar_mul(fresh, k, fresh.g) for k in scalars]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        expected = [pure(scalar_mul, c256, k, c256.g) for k in scalars]
+        assert results[0] == results[1] == expected
+
+    def test_wrong_order_still_rejected(self, tiny, c256):
+        # the n*G check must not reduce n mod n on the table path
+        for c in (tiny, c256):
+            for n in (c.n - 1, c.n + 1, c.n + 2):
+                with pytest.raises(BadOrder):
+                    CurveParams(c.p, c.a.value, c.b.value, *c.g.coords(), n)
+
+
+class TestWindowSearch:
+    def test_agrees_with_python(self, curve):
+        params = window_params(curve)
+        rng = random.Random(f"window:{curve.name}")
+        blocks = range(1 << params.block_bits) if params.block_bits <= 3 else [
+            rng.randrange(1 << params.block_bits) for _ in range(24)]
+        for m in blocks:
+            try:
+                expected = pure(encode_block, curve, params, m)
+            except EncodingFailure:
+                with pytest.raises(EncodingFailure):
+                    encode_block(curve, params, m)
+                continue
+            assert encode_block(curve, params, m) == expected, m
+
+    def test_zero_ordinate(self, tiny):
+        # block 2 at kappa 2 probes x = 4 first: 4^3 + 4 + 1 = 69 = 0 (mod 23)
+        params = EncodingParams(kappa=2, block_bits=3)
+        assert encode_block(tiny, params, 2) == Point(4, 0)
+        assert pure(encode_block, tiny, params, 2) == Point(4, 0)
+
+    def test_window_without_residue(self, tiny):
+        # block 7 probes x in {14, 15}, neither giving a square (test_codec)
+        params = EncodingParams(kappa=2, block_bits=3)
+        for run in (lambda f, *a: f(*a), pure):
+            with pytest.raises(EncodingFailure, match=r"\[14, 16\)"):
+                run(encode_block, tiny, params, 7)
+
+    def test_p_1_mod_4_takes_sqrt_mod(self, toy1009, c256, monkeypatch):
+        calls = []
+
+        def counting_sqrt(a, p):
+            calls.append(p)
+            return codec_sqrt(a, p)
+
+        codec_sqrt = codec.sqrt_mod
+        monkeypatch.setattr(codec, "sqrt_mod", counting_sqrt)
+        params = EncodingParams(kappa=2, block_bits=8)
+        assert toy1009.p % 4 == 1
+        for m in range(0, 256, 17):
+            try:
+                encode_block(toy1009, params, m)
+            except EncodingFailure:
+                pass
+        assert calls and set(calls) == {toy1009.p}
+        calls.clear()
+        wide = EncodingParams(kappa=32, block_bits=8)
+        encode_block(c256, wide, 5)
+        assert calls == []
+        pure(encode_block, c256, wide, 5)
+        assert calls and set(calls) == {c256.p}
+
+    def test_window_wider_than_a_word(self, c521):
+        # 2^64 candidates do not fit the kernel's count; they must not wrap to 0
+        params = EncodingParams(kappa=1 << 64, block_bits=8)
+        for m in (0, 1, 255):
+            assert encode_block(c521, params, m) == pure(encode_block, c521, params, m)
+
+    def test_kernel_refuses_p_1_mod_4(self, toy1009):
+        kernel = _native.load_kernel()
+        ctx = kernel.field_context(toy1009.p, toy1009.a.value, toy1009.b.value)
+        with pytest.raises(RuntimeError, match="encode search"):
+            kernel.encode_search(ctx, 0, 2)

@@ -37,13 +37,13 @@ class TestLoader:
         if kernel is None:
             pytest.skip("no kernel available")
         with pytest.raises(ValueError):
-            kernel.field_context(1 << 600, 1)
+            kernel.field_context(1 << 600, 1, 1)
 
     def test_scalar_limb_bound(self):
         kernel = _native.load_kernel()
         if kernel is None:
             pytest.skip("no kernel available")
-        ctx = kernel.field_context(23, 1)
+        ctx = kernel.field_context(23, 1, 1)
         with pytest.raises(ValueError):
             kernel.scalar_mul(ctx, 1 << (64 * 65), (3, 10))
 
