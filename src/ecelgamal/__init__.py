@@ -21,7 +21,6 @@ from .curve import (
     is_on_curve,
     load_curve_file,
     point_add,
-    point_double,
     point_neg,
     point_order,
     register_curve,
@@ -58,7 +57,7 @@ __all__ = [
     "EncodingParams", "decode_block", "encode_block",
     "IDENTITY", "CurveParams", "Point", "active_backend", "curve_names",
     "enumerate_points", "get_curve", "is_on_curve", "load_curve_file",
-    "point_add", "point_double", "point_neg", "point_order",
+    "point_add", "point_neg", "point_order",
     "register_curve", "scalar_mul", "set_backend",
     "Ciphertext", "KeyPair", "decrypt", "decrypt_block", "encrypt",
     "encrypt_block", "keygen", "parse_ciphertext", "parse_keypair",

@@ -1,7 +1,9 @@
 """Build and load the compiled elliptic-curve kernel.
 
 The kernel is a small plain-C shared library (no libpython dependency)
-compiled on first use and cached.  Loading it through ctypes means calls
+compiled on first use and cached under ~/.cache/ecelgamal (or the temporary
+directory), never inside the package.  A build removes the kernels that
+older sources left in its directory.  Loading it through ctypes means calls
 release the GIL, which is what lets the dual-worker pipeline use two cores.
 
 Set ECELGAMAL_NATIVE=0 to force the pure-Python fallback, =1 to make a
@@ -11,6 +13,7 @@ overrides where the .so is cached.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -40,7 +43,6 @@ def _candidate_dirs():
     if env_dir:
         yield Path(env_dir)
         return
-    yield _SOURCE.parent
     yield Path.home() / ".cache" / "ecelgamal"
     yield Path(tempfile.gettempdir()) / "ecelgamal-kernel"
 
@@ -189,6 +191,14 @@ def _try_load(path: Path) -> Kernel | None:
         return None
 
 
+def _remove_stale(directory: Path, keep: str) -> None:
+    """Delete the kernels that builds of older sources left in `directory`."""
+    for stale in directory.glob(f"_kernel-*-{sys.platform}.so"):
+        if stale.name != keep:
+            with contextlib.suppress(OSError):  # gone already, or not ours
+                stale.unlink()
+
+
 def _locate_or_build() -> Kernel | None:
     global _load_error
     so_name = f"_kernel-{_source_digest()}-{sys.platform}.so"
@@ -203,6 +213,7 @@ def _locate_or_build() -> Kernel | None:
         if built is not None:
             kernel = _try_load(built)
             if kernel is not None:
+                _remove_stale(directory, so_name)
                 return kernel
     _load_error = "no working C compiler or kernel failed its selftest"
     return None

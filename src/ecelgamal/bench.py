@@ -183,21 +183,3 @@ def render_report(report: BenchReport, fmt: str = "table") -> str:
         return "\n".join(lines)
 
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def parse_report_csv(text: str) -> BenchReport:
-    """Recover the numeric fields of a CSV report (2-decimal precision)."""
-    lines = [line for line in text.strip().splitlines() if line]
-    if not lines or lines[0] != _CSV_HEADER:
-        raise ValueError("missing CSV report header")
-    results = []
-    speedup = None
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != 4:
-            raise ValueError(f"malformed CSV row: {line!r}")
-        mode = ExecMode.parse(cells[0])
-        results.append(ModeResult(mode, float(cells[1]), float(cells[2])))
-        if cells[3] != "-":
-            speedup = float(cells[3])
-    return BenchReport(message_bytes=0, results=tuple(results), speedup=speedup)

@@ -5,11 +5,13 @@ identity element; the group law is the chord-tangent construction.
 
 Scalar multiplication dispatches to the compiled kernel when it is
 available and to a pure-Python double-and-add loop otherwise.  In the
-kernel, multiples of the generator G use a fixed-base table of 4-bit
-windows, built on the first k*G and cached on the curve, and every other
-base uses double-and-add.  All three produce identical points, as any
-correct method must, since k*P is unique.  Use :func:`set_backend` to pin
-a backend explicitly.
+kernel, a base multiplied many times uses a fixed-base table of 4-bit
+windows: G's table is built on the first k*G and cached on the curve, and
+:func:`fixed_base` builds one for a caller that multiplies another base,
+such as a public key, often enough to repay the build.  Every other
+multiplication uses double-and-add.  All of them produce identical points,
+as any correct method must, since k*P is unique.  Use :func:`set_backend`
+to pin a backend explicitly.
 """
 
 from __future__ import annotations
@@ -155,12 +157,16 @@ def is_on_curve(c: CurveParams, pt: Point) -> bool:
 
 def point_neg(c: CurveParams, pt: Point) -> Point:
     _require_member(c, pt)
-    if pt.is_identity:
-        return pt
-    return Point(pt.x, -pt.y % c.p)
+    return _neg(c, pt)
 
 
 # -- group law on members, without the membership check --
+
+def _neg(c: CurveParams, P: Point) -> Point:
+    if P.x is None:
+        return P
+    return Point(P.x, -P.y % c.p)
+
 
 def _add(c: CurveParams, P: Point, Q: Point) -> Point:
     if P.x is None:
@@ -194,11 +200,6 @@ def point_add(c: CurveParams, P: Point, Q: Point) -> Point:
     _require_member(c, P, "left operand")
     _require_member(c, Q, "right operand")
     return _add(c, P, Q)
-
-
-def point_double(c: CurveParams, P: Point) -> Point:
-    _require_member(c, P)
-    return _double(c, P)
 
 
 # -- scalar multiplication with backend dispatch --
@@ -259,29 +260,67 @@ def _scalar_mul_any_base(c: CurveParams, k: int, P: Point) -> Point:
     return _scalar_mul_python(c, k, P)
 
 
+# A table for a base other than G repays its build after about 9
+# multiplications on secp256k1 (build 1.9 ms; 63 us per table k*P against
+# 265 us by double-and-add, ctypes included) and about 6 on secp256r1
+# (3.4 ms; 126 against 696 us), on a 2-vCPU Xeon.  16 leaves a margin, and
+# calls of a few blocks keep double-and-add.
+FIXED_BASE_MIN_USES = 16
+
+
+def _table_mul(c: CurveParams, P: Point):
+    """k -> k*P for 0 <= k < n from a fixed-base table of P, or None off the kernel.
+
+    P is a member other than the identity.  G's table is cached on the
+    curve; any other base gets a table of its own, which the returned
+    callable keeps alive.  The table is complete before it is used or
+    published, so threads may share the callable.
+    """
+    native = _native_context(c)
+    if native is None:
+        return None
+    kernel, ctx = native
+    if P == c.g:
+        table = c._base_table
+        if table is None:
+            # a concurrent first caller sees either no table (and builds its
+            # own, the same) or a complete one
+            table = kernel.base_table(ctx, P.coords(), c.n)
+            c._base_table = table
+    else:
+        table = kernel.base_table(ctx, P.coords(), c.n)
+    return lambda k: _point_or_identity(kernel.base_mul(ctx, table, k))
+
+
+def fixed_base(c: CurveParams, P: Point, uses: int):
+    """k -> k*P for 0 <= k < n by a fixed-base table, or None to use scalar_mul.
+
+    A table is built only on the kernel, for a P other than the identity,
+    and when `uses` multiplications reach FIXED_BASE_MIN_USES.  The scalar
+    is not reduced mod n: P need not lie in the subgroup of G, and the
+    table gives the exact k*P for every k below 16^rows >= n.
+    """
+    _require_member(c, P)
+    if P.is_identity or uses < FIXED_BASE_MIN_USES:
+        return None
+    return _table_mul(c, P)
+
+
 def scalar_mul(c: CurveParams, k: int, P: Point) -> Point:
     """k * P; 0 * P is the identity.
 
-    On the kernel, P = G takes the fixed-base table with k reduced mod n,
-    which construction proved sound by checking n*G = O.
+    On the kernel, P = G takes the cached fixed-base table with k reduced
+    mod n, which construction proved sound by checking n*G = O.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"scalar must be a non-negative integer, got {k!r}")
     _require_member(c, P)
     if P.is_identity or k == 0:
         return IDENTITY
-
-    native = _native_context(c) if P == c.g else None
-    if native is None:
+    mul = _table_mul(c, P) if P == c.g else None
+    if mul is None:
         return _scalar_mul_any_base(c, k, P)
-    kernel, ctx = native
-    table = c._base_table
-    if table is None:
-        # built in full before it is published, so a concurrent caller sees
-        # either no table (and builds its own, the same) or a complete one
-        table = kernel.base_table(ctx, c.g.coords(), c.n)
-        c._base_table = table
-    return _point_or_identity(kernel.base_mul(ctx, table, k % c.n))
+    return mul(k % c.n)
 
 
 # -- brute-force helpers, only for curves small enough to walk --

@@ -26,10 +26,10 @@ from .codec import (
 from .curve import (
     CurveParams,
     Point,
+    _add,
+    _neg,
     _require_member,
     get_curve,
-    point_add,
-    point_neg,
     scalar_mul,
 )
 from .errors import EncodingFailure, FormatError, KeyConsistencyError
@@ -75,7 +75,7 @@ def encrypt_block(c: CurveParams, p_m: Point, p_b: Point, k: int) -> CiphertextB
         raise ValueError(f"nonce must lie in [1, {c.n - 1}], got {k}")
     return CiphertextBlock(
         scalar_mul(c, k, c.g),
-        point_add(c, p_m, scalar_mul(c, k, p_b)),
+        _add(c, p_m, scalar_mul(c, k, p_b)),
     )
 
 
@@ -86,7 +86,7 @@ def decrypt_block(c: CurveParams, block: CiphertextBlock, secret: int) -> Point:
     if not 1 <= secret <= c.n - 1:
         raise ValueError(f"secret must lie in [1, {c.n - 1}], got {secret}")
     shared = scalar_mul(c, secret, block.c1)
-    return point_add(c, block.c2, point_neg(c, shared))
+    return _add(c, block.c2, _neg(c, shared))
 
 
 @dataclass(frozen=True)

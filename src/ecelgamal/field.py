@@ -3,9 +3,6 @@
 Residues are plain Python integers kept in canonical form [0, p); the
 int-level helpers here are what the curve code uses.  :class:`FieldElement`
 only records a reduced curve coefficient together with its modulus.
-
-When gmpy2 is installed its modexp/modinv routines are used in place of
-CPython's (same results, several times faster); everything works without it.
 """
 
 from __future__ import annotations
@@ -16,27 +13,16 @@ from functools import lru_cache
 
 from .errors import FormatError, InvalidModulus
 
-try:
-    from gmpy2 import invert as _gmp_invert, powmod as _gmp_powmod
 
-    def powmod(base: int, exp: int, mod: int) -> int:
-        return int(_gmp_powmod(base, exp, mod))
+def powmod(base: int, exp: int, mod: int) -> int:
+    return pow(base, exp, mod)
 
-    def invmod(a: int, mod: int) -> int:
-        """Multiplicative inverse of a mod `mod` (extended Euclid)."""
-        if a % mod == 0:
-            raise ZeroDivisionError("inverse of zero residue")
-        return int(_gmp_invert(a, mod))
 
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-
-    def powmod(base: int, exp: int, mod: int) -> int:
-        return pow(base, exp, mod)
-
-    def invmod(a: int, mod: int) -> int:
-        if a % mod == 0:
-            raise ZeroDivisionError("inverse of zero residue")
-        return pow(a, -1, mod)
+def invmod(a: int, mod: int) -> int:
+    """Multiplicative inverse of a mod `mod`."""
+    if a % mod == 0:
+        raise ZeroDivisionError("inverse of zero residue")
+    return pow(a, -1, mod)
 
 
 MAX_MODULUS_BITS = 521

@@ -10,6 +10,11 @@ shared region, one block at a time:
     worker 2: compute k*P_B -> lock, deposit, unlock
     worker 1: lock, collect both slots, clear them, unlock -> add, emit
 
+On the kernel, a call of at least FIXED_BASE_MIN_USES blocks first builds a
+fixed-base table for P_B, in the calling thread, and every k*P_B of the
+call reads it; the table lives for that one call.  Shorter calls, and the
+pure-Python backend, use scalar_mul.
+
 The ciphertext blocks are identical across modes for the same nonces; only
 the schedule differs.  Every lock, slot access, and compute span is
 recorded in an execution trace for inspection.
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .curve import CurveParams, Point, _require_member, point_add, scalar_mul
+from .curve import CurveParams, Point, _add, _require_member, fixed_base, scalar_mul
 from .errors import (
     EmptySlot,
     LockNotHeld,
@@ -300,6 +305,10 @@ def run_encrypt_pipeline(
         _require_member(c, pt, f"message point {i}")
     _require_member(c, public, "public point")
     ks = _validated_nonces(c, nonces, len(points))
+    # built before the workers start, so both modes share it read-only; the
+    # workers add with _add, since every operand is a member checked above
+    # or a multiple of one
+    mul_pb = fixed_base(c, public, len(points)) or (lambda k: scalar_mul(c, k, public))
 
     out: list[CiphertextBlock] = []
     cancel = threading.Event()
@@ -329,10 +338,10 @@ def run_encrypt_pipeline(
                 c1 = scalar_mul(c, k, c.g)
                 rec("compute_end")
                 rec("compute_start")
-                kpb = scalar_mul(c, k, public)
+                kpb = mul_pb(k)
                 rec("compute_end")
                 rec("compute_start")
-                c2 = point_add(c, pm, kpb)
+                c2 = _add(c, pm, kpb)
                 rec("compute_end")
                 out.append(CiphertextBlock(c1, c2))
 
@@ -366,7 +375,7 @@ def run_encrypt_pipeline(
                 region.release(handle)
 
                 rec1("compute_start")
-                c2 = point_add(c, pm, kpb)
+                c2 = _add(c, pm, kpb)
                 rec1("compute_end")
                 out.append(CiphertextBlock(c1_out, c2))
 
@@ -374,7 +383,7 @@ def run_encrypt_pipeline(
             for k in ks:
                 check_cancel()
                 rec2("compute_start")
-                kpb = scalar_mul(c, k, public)
+                kpb = mul_pb(k)
                 rec2("compute_end")
 
                 # wait for worker 1 to clear the previous round

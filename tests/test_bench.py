@@ -6,7 +6,6 @@ from ecelgamal.bench import (
     BenchReport,
     ModeResult,
     compute_speedup,
-    parse_report_csv,
     render_report,
     run_bench,
     throughput_bps,
@@ -14,6 +13,25 @@ from ecelgamal.bench import (
 from ecelgamal._native import kernel_status
 from ecelgamal.errors import ModeMismatch
 from ecelgamal.pipeline import ExecMode
+
+
+def parse_report_csv(text: str) -> BenchReport:
+    """The numeric fields of a CSV report (2-decimal precision)."""
+    lines = [line for line in text.strip().splitlines() if line]
+    if not lines or lines[0] != "mode,time_ms,throughput_bps,speedup":
+        raise ValueError("missing CSV report header")
+    results = []
+    speedup = None
+    for line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != 4:
+            raise ValueError(f"malformed CSV row: {line!r}")
+        results.append(ModeResult(ExecMode.parse(cells[0]), float(cells[1]),
+                                  float(cells[2])))
+        if cells[3] != "-":
+            speedup = float(cells[3])
+    return BenchReport(message_bytes=0, results=tuple(results), speedup=speedup)
+
 
 # Reference timings for one 8-bit block on the original single- and
 # dual-core targets; the formulas must reproduce the published columns.

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from ecelgamal._native import kernel_status
-from ecelgamal.bench import parse_report_csv
 from ecelgamal.cli import main
 from ecelgamal.elgamal import parse_ciphertext, parse_keypair, render_keypair
 from ecelgamal.pipeline import ExecMode
+
+from .test_bench import parse_report_csv
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
-"""The kernel's fixed-base k*G and its x-window search against pure Python.
+"""The kernel's fixed-base tables and its x-window search against pure Python.
 
-Both kernel paths must give exactly the points the pure-Python path
-gives: k*P is unique, and so is the smallest-x embedding of a block.
+The cached k*G table, the encryption pipeline's per-call table for k*P_B
+and the search must give exactly the points the pure-Python path gives:
+k*P is unique, and so is the smallest-x embedding of a block.
 """
 
 import random
@@ -12,8 +13,9 @@ import pytest
 from ecelgamal import _native, codec
 from ecelgamal import curve as curve_mod
 from ecelgamal.codec import EncodingParams, encode_block
-from ecelgamal.curve import CurveParams, Point, scalar_mul
-from ecelgamal.errors import BadOrder, EncodingFailure
+from ecelgamal.curve import IDENTITY, CurveParams, Point, enumerate_points, scalar_mul
+from ecelgamal.errors import BadOrder, EncodingFailure, WorkerFailure
+from ecelgamal.pipeline import ExecMode, run_encrypt_pipeline
 
 pytestmark = pytest.mark.skipif(
     curve_mod.active_backend() != "native", reason="no native kernel to compare against"
@@ -158,3 +160,82 @@ class TestWindowSearch:
         ctx = kernel.field_context(toy1009.p, toy1009.a.value, toy1009.b.value)
         with pytest.raises(RuntimeError, match="encode search"):
             kernel.encode_search(ctx, 0, 2)
+
+
+class TestPerCallTable:
+    """run_encrypt_pipeline's fixed-base table for k*P_B against pure Python."""
+
+    @staticmethod
+    def inputs(c: CurveParams, count: int):
+        rng = random.Random(f"per-call:{c.name}:{count}")
+        public = scalar_mul(c, rng.randrange(1, c.n), c.g)
+        points = [scalar_mul(c, rng.randrange(1, c.n), c.g) for _ in range(count)]
+        return points, public, [rng.randrange(1, c.n) for _ in range(count)]
+
+    @staticmethod
+    def count_tables(c: CurveParams, monkeypatch) -> list:
+        """Record every table the kernel builds from here on, G's excluded."""
+        scalar_mul(c, 1, c.g)  # G's table, cached on the curve
+        built = []
+        real = _native.Kernel.base_table
+
+        def counting(self, ctx, base, n):
+            built.append(base)
+            return real(self, ctx, base, n)
+
+        monkeypatch.setattr(_native.Kernel, "base_table", counting)
+        return built
+
+    def test_agrees_with_python(self, curve, monkeypatch):
+        points, public, ks = self.inputs(curve, 40)
+        expected, _ = pure(run_encrypt_pipeline, curve, points, public, ks)
+        built = self.count_tables(curve, monkeypatch)
+        for count in (15, 16, 40):
+            for mode in ExecMode:
+                built.clear()
+                blocks, _ = run_encrypt_pipeline(curve, points[:count], public,
+                                                 ks[:count], mode)
+                assert blocks == expected[:count], (count, mode)
+                assert built == ([public.coords()] if count >= 16 else []), (count, mode)
+
+    def test_identity_public_builds_no_table(self, tiny, monkeypatch):
+        points, _, ks = self.inputs(tiny, 20)
+        expected, _ = pure(run_encrypt_pipeline, tiny, points, IDENTITY, ks)
+        built = self.count_tables(tiny, monkeypatch)
+        for mode in ExecMode:
+            assert run_encrypt_pipeline(tiny, points, IDENTITY, ks, mode)[0] == expected
+        assert built == []
+
+    def test_public_outside_the_generator_subgroup(self, tiny, monkeypatch):
+        # G' = 2G has order 14 on the 28-point tiny23; its G is a member of
+        # order 28, outside <G'>, so no k*P_B may be reduced mod n = 14
+        c = CurveParams(23, 1, 1, *scalar_mul(tiny, 2, tiny.g).coords(), 14)
+        rng = random.Random(14)
+        members = enumerate_points(tiny)
+        points = [rng.choice(members) for _ in range(20)]
+        ks = [rng.randrange(1, c.n) for _ in range(20)]
+        expected, _ = pure(run_encrypt_pipeline, c, points, tiny.g, ks)
+        built = self.count_tables(c, monkeypatch)
+        for mode in ExecMode:
+            assert run_encrypt_pipeline(c, points, tiny.g, ks, mode)[0] == expected
+        assert built == [tiny.g.coords()] * 2
+
+    def test_table_failure_in_dual_mode(self, tiny, monkeypatch):
+        points, public, ks = self.inputs(tiny, 20)
+        scalar_mul(tiny, 1, tiny.g)  # G's table, cached on the curve
+        real = _native.Kernel.base_mul
+        calls = {"n": 0}
+
+        def flaky(self, ctx, table, k):
+            # worker 2 reads the table of P_B; fail it on the third block
+            if table is not tiny._base_table:
+                calls["n"] += 1
+                if calls["n"] == 3:
+                    raise RuntimeError("injected fault")
+            return real(self, ctx, table, k)
+
+        monkeypatch.setattr(_native.Kernel, "base_mul", flaky)
+        with pytest.raises(WorkerFailure) as excinfo:
+            run_encrypt_pipeline(tiny, points, public, ks, ExecMode.DUAL)
+        assert excinfo.value.worker == 2
+        assert "injected fault" in str(excinfo.value)

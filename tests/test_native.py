@@ -47,6 +47,28 @@ class TestLoader:
         with pytest.raises(ValueError):
             kernel.scalar_mul(ctx, 1 << (64 * 65), (3, 10))
 
+    def test_package_directory_is_no_cache(self, monkeypatch):
+        monkeypatch.delenv("ECELGAMAL_KERNEL_DIR", raising=False)
+        assert _native._SOURCE.parent not in list(_native._candidate_dirs())
+
+    def test_build_removes_stale_kernels(self, tmp_path):
+        if _native.load_kernel() is None:
+            pytest.skip("no kernel available")
+        stale = tmp_path / f"_kernel-0123456789abcdef-{sys.platform}.so"
+        stale.write_bytes(b"left by an older source")
+        foreign = tmp_path / "_kernel-0123456789abcdef-otheros.so"
+        foreign.write_bytes(b"another platform's build")
+        out = _run_python(
+            "from ecelgamal import _native\n"
+            "print(_native.load_kernel().path)\n",
+            ECELGAMAL_KERNEL_DIR=str(tmp_path),
+        )
+        built = Path(out.strip())
+        assert built.parent == tmp_path and built.is_file()
+        assert not stale.exists()
+        assert foreign.exists()
+        assert sorted(tmp_path.glob(f"_kernel-*-{sys.platform}.so")) == [built]
+
 
 class TestEnvironmentControls:
     def test_disabled_env_forces_python_backend(self):
