@@ -6,9 +6,12 @@
  * can genuinely run on two cores.
  *
  * Values are little-endian arrays of 64-bit limbs.  Moduli up to 9 limbs
- * (576 bits) are supported, which covers every curve the package ships.
- * Reduction is plain schoolbook division (Knuth D); moduli of the shape
- * 2^(64*n) - c with c < 2^64 take a cheaper fold-the-high-half path.
+ * (576 bits) are supported, which covers every curve the package ships;
+ * p is an odd prime whose top limb, limb nl - 1, is nonzero.
+ * Every field multiply is one CIOS Montgomery multiplication, and every
+ * inverse is x^(p-2) on it.  Each entry point takes its affine inputs into
+ * Montgomery form and its affine outputs out of it; table entries, which
+ * only the kernel reads, stay in it.
  *
  * The accumulator of every scalar multiplication is Jacobian (X, Y, Z) to
  * avoid a field inversion per group operation; inputs and outputs are
@@ -41,14 +44,15 @@ typedef __uint128_t u128;
 
 typedef struct {
     int nl;          /* limbs in p */
-    int special;     /* p == 2^(64*nl) - c with c < 2^64 */
-    u64 c;           /* fold constant when special */
-    int shift;       /* normalization shift for division */
     u64 p[MAXL];
-    u64 pn[MAXL];    /* p << shift */
-    u64 a[MAXL];     /* curve coefficient, reduced mod p */
+    u64 pinv;        /* -p^-1 mod 2^64 */
+    u64 one[MAXL];   /* R mod p, R = 2^(64*nl): 1 in Montgomery form */
+    u64 r2[MAXL];    /* R^2 mod p, which takes a value into Montgomery form */
+    u64 a[MAXL];     /* curve coefficient, Montgomery form */
     int a_zero;
 } ecctx;
+
+static const u64 unit[MAXL] = {1};  /* plain 1; a Montgomery multiply by it leaves the form */
 
 /* ---- limb vector helpers (length nl unless stated) ---- */
 
@@ -88,24 +92,6 @@ static u64 vsub(u64 *r, const u64 *x, const u64 *y, int nl) {
     return borrow;
 }
 
-/* r = x * m + carry-in propagation; x has nl limbs, r gets nl+1 */
-static void vmul1(u64 *r, const u64 *x, u64 m, int nl) {
-    u64 carry = 0;
-    for (int i = 0; i < nl; i++) {
-        u128 t = (u128)x[i] * m + carry;
-        r[i] = (u64)t;
-        carry = (u64)(t >> 64);
-    }
-    r[nl] = carry;
-}
-
-static int clz64(u64 x) {
-    int n = 0;
-    if (x == 0) return 64;
-    while (!(x >> 63)) { x <<= 1; n++; }
-    return n;
-}
-
 /* ---- modular helpers: operands already reduced below p ---- */
 
 static void mod_add(const ecctx *c, u64 *r, const u64 *x, const u64 *y) {
@@ -119,181 +105,113 @@ static void mod_sub(const ecctx *c, u64 *r, const u64 *x, const u64 *y) {
 
 static void mod_dbl(const ecctx *c, u64 *r, const u64 *x) { mod_add(c, r, x, x); }
 
-/* t has 2*nl limbs; reduce mod p into r via fold: 2^(64*nl) == c (mod p) */
-static void red_fold(const ecctx *c, const u64 *t, u64 *r) {
-    int nl = c->nl;
-    u64 hi[MAXL + 1], acc[MAXL + 1];
+/* r = x * y / R mod p, CIOS Montgomery multiplication (Koc, Acar and
+ * Kaliski, IEEE Micro 1996).  Each pass adds x * y[i], then the multiple
+ * m * p that clears the low word, and shifts that word out.  For x, y < p
+ * the sum ends below 2p, so one masked subtraction finishes it. */
+static inline __attribute__((always_inline))
+void mont_mul(const ecctx *c, u64 *r, const u64 *x, const u64 *y, int nl) {
+    u64 t[MAXL + 2] = {0}, d[MAXL];
 
-    vmul1(hi, t + nl, c->c, nl);               /* hi = H*c, nl+1 limbs */
-    acc[nl] = hi[nl] + vadd(acc, t, hi, nl);   /* acc = L + H*c */
-    while (acc[nl]) {
-        u128 f = (u128)acc[nl] * c->c;
-        acc[nl] = 0;
-        u64 add0 = (u64)f, add1 = (u64)(f >> 64);
-        u128 s = (u128)acc[0] + add0;
-        acc[0] = (u64)s;
-        u64 carry = (u64)(s >> 64);
-        for (int i = 1; i < nl && (carry || add1); i++) {
-            s = (u128)acc[i] + carry + (i == 1 ? add1 : 0);
-            acc[i] = (u64)s;
-            carry = (u64)(s >> 64);
-            if (i == 1) add1 = 0;
-        }
-        acc[nl] += carry;
-    }
-    while (vcmp(acc, c->p, nl) >= 0) vsub(acc, acc, c->p, nl);
-    vset(r, acc, nl);
-}
-
-/* t has tn limbs; reduce mod p into r by schoolbook long division */
-static void red_div(const ecctx *c, const u64 *t, int tn, u64 *r) {
-    int nl = c->nl, s = c->shift;
-    u64 u[2 * MAXL + 2];
-    int un;
-
-    /* normalize: u = t << s */
-    if (s == 0) {
-        vset(u, t, tn);
-        u[tn] = 0;
-    } else {
-        u64 carry = 0;
-        for (int i = 0; i < tn; i++) {
-            u[i] = (t[i] << s) | carry;
-            carry = t[i] >> (64 - s);
-        }
-        u[tn] = carry;
-    }
-    un = tn + 1;
-
-    const u64 *d = c->pn;
-    u64 dtop = d[nl - 1];
-    u64 dnext = nl >= 2 ? d[nl - 2] : 0;
-
-    for (int j = un - 1; j >= nl; j--) {
-        /* estimate quotient digit from the top two limbs */
-        u128 num = ((u128)u[j] << 64) | u[j - 1];
-        u64 qhat;
-        if (u[j] >= dtop) {
-            qhat = ~(u64)0;
-        } else {
-            qhat = (u64)(num / dtop);
-        }
-        u64 rhat = (u64)(num - (u128)qhat * dtop);
-        /* refine */
-        while ((u128)qhat * dnext > (((u128)rhat << 64) | (j >= 2 ? u[j - 2] : 0))) {
-            qhat--;
-            u128 nr = (u128)rhat + dtop;
-            if (nr >> 64) break;
-            rhat = (u64)nr;
-        }
-        /* u[j-nl .. j] -= qhat * d */
-        u64 borrow = 0, mc = 0;
-        for (int i = 0; i < nl; i++) {
-            u128 prod = (u128)qhat * d[i] + mc;
-            mc = (u64)(prod >> 64);
-            u128 diff = (u128)u[j - nl + i] - (u64)prod - borrow;
-            u[j - nl + i] = (u64)diff;
-            borrow = (u64)(diff >> 64) & 1;
-        }
-        u128 diff = (u128)u[j] - mc - borrow;
-        u[j] = (u64)diff;
-        if ((diff >> 64) & 1) {
-            /* qhat was one too large: add divisor back */
-            u64 carry = 0;
-            for (int i = 0; i < nl; i++) {
-                u128 sum = (u128)u[j - nl + i] + d[i] + carry;
-                u[j - nl + i] = (u64)sum;
-                carry = (u64)(sum >> 64);
-            }
-            u[j] += carry;
-        }
-        u[j] = 0; /* quotient digit discarded; remainder stays below d */
-    }
-
-    /* denormalize remainder */
-    if (s == 0) {
-        vset(r, u, nl);
-    } else {
-        for (int i = 0; i < nl; i++) {
-            u64 hi2 = (i + 1 < nl) ? u[i + 1] : 0;
-            r[i] = (u[i] >> s) | (hi2 << (64 - s));
-        }
-    }
-}
-
-static void mod_mul(const ecctx *c, u64 *r, const u64 *x, const u64 *y) {
-    int nl = c->nl;
-
-    if (nl == 1) {
-        r[0] = (u64)(((u128)x[0] * y[0]) % c->p[0]);
-        return;
-    }
-
-    u64 t[2 * MAXL];
-    vzero(t, 2 * nl);
     for (int i = 0; i < nl; i++) {
         u64 carry = 0;
-        u64 xi = x[i];
         for (int j = 0; j < nl; j++) {
-            u128 acc = (u128)xi * y[j] + t[i + j] + carry;
-            t[i + j] = (u64)acc;
-            carry = (u64)(acc >> 64);
+            u128 s = (u128)x[j] * y[i] + t[j] + carry;
+            t[j] = (u64)s;
+            carry = (u64)(s >> 64);
         }
-        t[i + nl] = carry;
-    }
+        u128 s = (u128)t[nl] + carry;
+        t[nl] = (u64)s;
+        t[nl + 1] = (u64)(s >> 64);
 
-    if (c->special) red_fold(c, t, r);
-    else red_div(c, t, 2 * nl, r);
+        u64 m = t[0] * c->pinv;  /* t + m*p is divisible by 2^64 */
+        carry = (u64)(((u128)m * c->p[0] + t[0]) >> 64);
+        for (int j = 1; j < nl; j++) {
+            s = (u128)m * c->p[j] + t[j] + carry;
+            t[j - 1] = (u64)s;
+            carry = (u64)(s >> 64);
+        }
+        s = (u128)t[nl] + carry;
+        t[nl - 1] = (u64)s;
+        t[nl] = t[nl + 1] + (u64)(s >> 64);
+    }
+    /* t < 2p: keep t - p unless it borrowed past t's top word */
+    u64 keep = 0 - (u64)(vsub(d, t, c->p, nl) > t[nl]);
+    for (int i = 0; i < nl; i++) r[i] = (t[i] & keep) | (d[i] & ~keep);
+}
+
+/* The one field multiply.  The 4-limb case gets its limb count as a
+ * compile-time constant, so 256-bit curves run fully unrolled loops. */
+static void mod_mul(const ecctx *c, u64 *r, const u64 *x, const u64 *y) {
+    switch (c->nl) {
+    case 4: mont_mul(c, r, x, y, 4); break;
+    default: mont_mul(c, r, x, y, c->nl); break;
+    }
 }
 
 static void mod_sqr(const ecctx *c, u64 *r, const u64 *x) { mod_mul(c, r, x, x); }
 
-/* r = x^-1 mod p (binary extended gcd); x must be nonzero mod p, p odd */
-static int mod_inv(const ecctx *c, u64 *r, const u64 *x) {
-    int nl = c->nl;
-    u64 a[MAXL], b[MAXL], u[MAXL], v[MAXL];
+static void to_mont(const ecctx *c, u64 *r, const u64 *x) { mod_mul(c, r, x, c->r2); }
+static void from_mont(const ecctx *c, u64 *r, const u64 *x) { mod_mul(c, r, x, unit); }
 
-    vset(a, x, nl);
-    vset(b, c->p, nl);
-    vzero(u, nl); u[0] = 1;
-    vzero(v, nl);
+/* r = x^e mod p by fixed 4-bit windows; the exponent e (nl limbs) is public */
+static void mod_pow(const ecctx *c, u64 *r, const u64 *x, const u64 *e) {
+    int nl = c->nl, started = 0;
+    u64 pw[16][MAXL];
 
-    while (!vis_zero(a, nl)) {
-        while (!(a[0] & 1)) {
-            /* a >>= 1 */
-            for (int i = 0; i < nl - 1; i++) a[i] = (a[i] >> 1) | (a[i + 1] << 63);
-            a[nl - 1] >>= 1;
-            /* u = u/2 mod p */
-            u64 carry = 0;
-            if (u[0] & 1) carry = vadd(u, u, c->p, nl);
-            for (int i = 0; i < nl - 1; i++) u[i] = (u[i] >> 1) | (u[i + 1] << 63);
-            u[nl - 1] = (u[nl - 1] >> 1) | (carry << 63);
+    vset(pw[0], c->one, nl);
+    for (int d = 1; d < 16; d++) mod_mul(c, pw[d], pw[d - 1], x);
+    vset(r, pw[0], nl);
+    for (int i = 16 * nl - 1; i >= 0; i--) {
+        unsigned digit = (unsigned)(e[i / 16] >> (4 * (i % 16))) & 15;
+        if (started) {
+            for (int s = 0; s < 4; s++) mod_sqr(c, r, r);
         }
-        if (vcmp(a, b, nl) < 0) {
-            u64 tmp[MAXL];
-            vset(tmp, a, nl); vset(a, b, nl); vset(b, tmp, nl);
-            vset(tmp, u, nl); vset(u, v, nl); vset(v, tmp, nl);
+        if (digit) {
+            mod_mul(c, r, r, pw[digit]);
+            started = 1;
         }
-        vsub(a, a, b, nl);
-        mod_sub(c, u, u, v);
     }
+}
 
-    /* gcd in b must be 1 */
-    u64 one_check = b[0] ^ 1;
-    for (int i = 1; i < nl; i++) one_check |= b[i];
-    if (one_check) return -1;
-    vset(r, v, nl);
-    return 0;
+/* r = x^-1 = x^(p-2) mod p (Fermat).  Needs p prime, which the Python side
+ * checks for every curve, and x nonzero mod p: then the result is the
+ * inverse, and no input makes the exponentiation fail. */
+static void mod_inv(const ecctx *c, u64 *r, const u64 *x) {
+    u64 e[MAXL], two[MAXL] = {2};
+    vsub(e, c->p, two, c->nl);
+    mod_pow(c, r, x, e);
+}
+
+static void ctx_init(ecctx *c, const u64 *p, int nl, const u64 *a) {
+    c->nl = nl;
+    vset(c->p, p, nl);
+
+    /* Newton's iteration doubles the correct low bits: 3, 6, ..., 96 */
+    u64 inv = p[0];
+    for (int i = 0; i < 5; i++) inv *= 2 - p[0] * inv;
+    c->pinv = 0 - inv;
+
+    /* one = R mod p: double the top bit of p up to bit 64*nl */
+    int top = 64 * nl - __builtin_clzll(p[nl - 1]) - 1;
+    vzero(c->one, nl);
+    c->one[top / 64] = (u64)1 << (top % 64);
+    for (int i = top; i < 64 * nl; i++) mod_dbl(c, c->one, c->one);
+
+    /* r2 = R^2 mod p: 2^nl in Montgomery form, squared six times, is 2^(64*nl) */
+    vset(c->r2, c->one, nl);
+    for (int i = 0; i < nl; i++) mod_dbl(c, c->r2, c->r2);
+    for (int i = 0; i < 6; i++) mod_sqr(c, c->r2, c->r2);
+
+    to_mont(c, c->a, a);
+    c->a_zero = vis_zero(a, nl);
 }
 
 /* ---- Jacobian point arithmetic; identity is Z == 0 ---- */
 
 typedef struct { u64 X[MAXL], Y[MAXL], Z[MAXL]; } jpoint;
 
-static void jp_set_inf(jpoint *r, int nl) {
-    vzero(r->X, nl); vzero(r->Y, nl); vzero(r->Z, nl);
-    r->X[0] = 1; r->Y[0] = 1;
-}
+static void jp_set_inf(jpoint *r, int nl) { vzero(r->Z, nl); }  /* X, Y unread */
 
 static int jp_is_inf(const jpoint *q, int nl) { return vis_zero(q->Z, nl); }
 
@@ -362,8 +280,7 @@ static void jp_add_affine(const ecctx *c, jpoint *r, const jpoint *q,
     if (jp_is_inf(q, nl)) {
         vset(r->X, x2, nl);
         vset(r->Y, y2, nl);
-        vzero(r->Z, nl);
-        r->Z[0] = 1;
+        vset(r->Z, c->one, nl);
         return;
     }
 
@@ -413,47 +330,18 @@ static void jp_add_affine(const ecctx *c, jpoint *r, const jpoint *q,
     vset(r->X, t, nl);
 }
 
-static void ctx_init(ecctx *c, const u64 *p, int nl, const u64 *a) {
-    c->nl = nl;
-    vset(c->p, p, nl);
-    vset(c->a, a, nl);
-    c->a_zero = vis_zero(a, nl);
-
-    c->special = 0;
-    c->c = 0;
-    if (nl >= 2) {
-        int all_ones = 1;
-        for (int i = 1; i < nl; i++) {
-            if (p[i] != ~(u64)0) { all_ones = 0; break; }
-        }
-        if (all_ones && p[0] != 0) {
-            c->special = 1;
-            c->c = (u64)(0 - p[0]);
-        }
-    }
-
-    c->shift = clz64(p[nl - 1]);
-    if (c->shift == 0) {
-        vset(c->pn, p, nl);
-    } else {
-        u64 carry = 0;
-        for (int i = 0; i < nl; i++) {
-            c->pn[i] = (p[i] << c->shift) | carry;
-            carry = p[i] >> (64 - c->shift);
-        }
-    }
-}
-
-/* Affine (rx, ry) of q: 1 for the identity, -2 when Z has no inverse. */
+/* Plain affine (rx, ry) of q: 1 for the identity, else 0. */
 static int jp_to_affine(const ecctx *c, const jpoint *q, u64 *rx, u64 *ry) {
     u64 zi[MAXL], zi2[MAXL];
 
     if (jp_is_inf(q, c->nl)) return 1;
-    if (mod_inv(c, zi, q->Z) != 0) return -2;
+    mod_inv(c, zi, q->Z);
     mod_sqr(c, zi2, zi);
     mod_mul(c, rx, q->X, zi2);
     mod_mul(c, zi2, zi2, zi);
     mod_mul(c, ry, q->Y, zi2);
+    from_mont(c, rx, rx);
+    from_mont(c, ry, ry);
     return 0;
 }
 
@@ -466,17 +354,18 @@ EXPORT int eck_scalar_mul(const u64 *p, int nl, const u64 *a,
                           u64 *rx, u64 *ry) {
     ecctx ctx;
     jpoint acc;
+    u64 mx[MAXL], my[MAXL];
 
     if (nl < 1 || nl > MAXL || knl < 0 || knl > MAXKL) return -1;
-
-    ctx_init(&ctx, p, nl, a);
-
     if (pinf) return 1;
+    ctx_init(&ctx, p, nl, a);
+    to_mont(&ctx, mx, px);
+    to_mont(&ctx, my, py);
 
     /* locate top set bit of k */
     int top = -1;
     for (int i = knl - 1; i >= 0 && top < 0; i--) {
-        if (k[i]) top = i * 64 + 63 - clz64(k[i]);
+        if (k[i]) top = i * 64 + 63 - __builtin_clzll(k[i]);
     }
     if (top < 0) return 1; /* k == 0 */
 
@@ -484,7 +373,7 @@ EXPORT int eck_scalar_mul(const u64 *p, int nl, const u64 *a,
     for (int bit = top; bit >= 0; bit--) {
         jp_double(&ctx, &acc, &acc);
         if ((k[bit / 64] >> (bit % 64)) & 1) {
-            jp_add_affine(&ctx, &acc, &acc, px, py);
+            jp_add_affine(&ctx, &acc, &acc, mx, my);
         }
     }
     return jp_to_affine(&ctx, &acc, rx, ry);
@@ -493,8 +382,9 @@ EXPORT int eck_scalar_mul(const u64 *p, int nl, const u64 *a,
 /* ---- fixed-base table: 4-bit windows, affine entries ----
  *
  * Row i holds d * 16^i * G for d = 1..15, each entry 2*nl + 1 limbs:
- * x, y, then 1 when the multiple is the identity (only on tiny groups)
- * and 0 otherwise.  A table of `rows` rows serves every k < 16^rows. */
+ * x, y in Montgomery form, then 1 when the multiple is the identity (only
+ * on tiny groups) and 0 otherwise.  A table of `rows` rows serves every
+ * k < 16^rows. */
 
 #define WIN 15  /* nonzero digits of a 4-bit window */
 
@@ -502,15 +392,14 @@ EXPORT int eck_base_table(const u64 *p, int nl, const u64 *a,
                           const u64 *gx, const u64 *gy, int rows, u64 *table) {
     ecctx ctx;
     jpoint pts[WIN + 1];  /* d * B for d = 1..16, B = 16^row * G */
-    u64 pre[WIN + 1][MAXL], inv[MAXL], zi[MAXL], zi2[MAXL], one[MAXL];
+    u64 pre[WIN + 1][MAXL], inv[MAXL], zi[MAXL], zi2[MAXL];
     u64 bx[MAXL], by[MAXL];
     int binf = 0, el = 2 * nl + 1;
 
     if (nl < 1 || nl > MAXL || rows < 1) return -1;
     ctx_init(&ctx, p, nl, a);
-    vzero(one, nl); one[0] = 1;
-    vset(bx, gx, nl);
-    vset(by, gy, nl);
+    to_mont(&ctx, bx, gx);
+    to_mont(&ctx, by, gy);
 
     for (int row = 0; row < rows; row++) {
         u64 *out = table + (size_t)row * WIN * el;
@@ -523,17 +412,17 @@ EXPORT int eck_base_table(const u64 *p, int nl, const u64 *a,
         }
         vset(pts[0].X, bx, nl);
         vset(pts[0].Y, by, nl);
-        vset(pts[0].Z, one, nl);
+        vset(pts[0].Z, ctx.one, nl);
         for (int d = 1; d < WIN; d++) jp_add_affine(&ctx, &pts[d], &pts[d - 1], bx, by);
         jp_double(&ctx, &pts[WIN], &pts[7]);  /* 16 * B, the next row's base */
 
         /* Montgomery's trick: one inversion for the row, Z = 0 counted as 1 */
         for (int d = 0; d <= WIN; d++) {
-            const u64 *z = jp_is_inf(&pts[d], nl) ? one : pts[d].Z;
+            const u64 *z = jp_is_inf(&pts[d], nl) ? ctx.one : pts[d].Z;
             if (d == 0) vset(pre[0], z, nl);
             else mod_mul(&ctx, pre[d], pre[d - 1], z);
         }
-        if (mod_inv(&ctx, inv, pre[WIN]) != 0) return -2;
+        mod_inv(&ctx, inv, pre[WIN]);
         for (int d = WIN; d >= 0; d--) {
             int inf = jp_is_inf(&pts[d], nl);
             u64 *x = d < WIN ? out + d * el : bx;
@@ -586,67 +475,70 @@ EXPORT int eck_base_mul(const u64 *p, int nl, const u64 *a,
 
 /* ---- the codec's x-window search ---- */
 
-/* r = x^e mod p by fixed 4-bit windows; the exponent e (nl limbs) is public */
-static void mod_pow(const ecctx *c, u64 *r, const u64 *x, const u64 *e) {
-    int nl = c->nl, started = 0;
-    u64 pw[16][MAXL];
-
-    vzero(pw[0], nl);
-    pw[0][0] = 1;
-    for (int d = 1; d < 16; d++) mod_mul(c, pw[d], pw[d - 1], x);
-    vset(r, pw[0], nl);
-    for (int i = 16 * nl - 1; i >= 0; i--) {
-        unsigned digit = (unsigned)(e[i / 16] >> (4 * (i % 16))) & 15;
-        if (started) {
-            for (int s = 0; s < 4; s++) mod_sqr(c, r, r);
-        }
-        if (digit) {
-            mod_mul(c, r, r, pw[digit]);
-            started = 1;
-        }
-    }
-}
-
 /* First x in [x0, x0 + count) with rhs = x^3 + ax + b a square mod p, and
  * y the smaller of its roots r, p - r (y = 0 when rhs = 0).  Needs
  * p = 3 mod 4, where r = rhs^((p+1)/4) is a root exactly when r^2 = rhs,
  * and b reduced mod p.  Returns 0 with (rx, ry) set, 1 when no x of the
- * window qualifies, -1 on invalid arguments or a window reaching p. */
+ * window qualifies, -1 on invalid arguments or a window reaching p.
+ * x walks in both domains: plain for the bound and the result, Montgomery
+ * form (xm) for the arithmetic. */
 EXPORT int eck_encode_search(const u64 *p, int nl, const u64 *a, const u64 *b,
                              const u64 *x0, u64 count, u64 *rx, u64 *ry) {
     ecctx ctx;
-    u64 e[MAXL], x[MAXL], rhs[MAXL], r[MAXL], t[MAXL], one[MAXL];
+    u64 e[MAXL], x[MAXL], xm[MAXL], bm[MAXL], rhs[MAXL], r[MAXL], t[MAXL];
 
     if (nl < 1 || nl > MAXL || (p[0] & 3) != 3) return -1;
     ctx_init(&ctx, p, nl, a);
-    vzero(one, nl);
-    one[0] = 1;
+    to_mont(&ctx, bm, b);
 
     /* e = (p + 1) / 4, the carry out of p + 1 kept as bit 64*nl */
-    u64 carry = vadd(e, p, one, nl);
+    u64 carry = vadd(e, p, unit, nl);
     for (int i = 0; i < nl; i++) {
         u64 next = i + 1 < nl ? e[i + 1] : carry;
         e[i] = (e[i] >> 2) | (next << 62);
     }
 
     vset(x, x0, nl);
+    to_mont(&ctx, xm, x);
     for (u64 i = 0; i < count; i++) {
         if (vcmp(x, p, nl) >= 0) return -1;
-        mod_sqr(&ctx, rhs, x);
+        mod_sqr(&ctx, rhs, xm);
         mod_add(&ctx, rhs, rhs, ctx.a);
-        mod_mul(&ctx, rhs, rhs, x);
-        mod_add(&ctx, rhs, rhs, b);
+        mod_mul(&ctx, rhs, rhs, xm);
+        mod_add(&ctx, rhs, rhs, bm);
         mod_pow(&ctx, r, rhs, e);
         mod_sqr(&ctx, t, r);
         if (vcmp(t, rhs, nl) == 0) {
+            from_mont(&ctx, r, r);
             vset(rx, x, nl);
             vsub(t, p, r, nl);
             vset(ry, !vis_zero(r, nl) && vcmp(t, r, nl) < 0 ? t : r, nl);
             return 0;
         }
-        vadd(x, x, one, nl);
+        vadd(x, x, unit, nl);
+        mod_add(&ctx, xm, xm, ctx.one);
     }
     return 1;
+}
+
+/* Test entry point for the field arithmetic: xy = x * y mod p and
+ * xinv = x^(p-2) mod p (the inverse for x != 0), for plain x, y < p,
+ * through Montgomery form and back.  Returns -1 on invalid arguments. */
+EXPORT int eck_field_check(const u64 *p, int nl, const u64 *x, const u64 *y,
+                           u64 *xy, u64 *xinv) {
+    static const u64 zero[MAXL];
+    ecctx ctx;
+    u64 xm[MAXL], ym[MAXL];
+
+    if (nl < 1 || nl > MAXL || !(p[0] & 1)) return -1;
+    ctx_init(&ctx, p, nl, zero);
+    to_mont(&ctx, xm, x);
+    to_mont(&ctx, ym, y);
+    mod_mul(&ctx, xy, xm, ym);
+    from_mont(&ctx, xy, xy);
+    mod_inv(&ctx, xinv, xm);
+    from_mont(&ctx, xinv, xinv);
+    return 0;
 }
 
 /* Sanity probe used by the loader to verify the library works: computes
@@ -715,7 +607,7 @@ int main(void) {
                  0x55A06295CE870B07ULL, 0x79BE667EF9DCBBACULL};
     u64 gy[4] = {0x9C47D08FFB10D4B8ULL, 0xFD17B448A6855419ULL,
                  0x5DA4FBFC0E1108A8ULL, 0x483ADA7726A3C465ULL};
-    bench_curve("secp256k1 (fold path)", p, a, b, gx, gy, 2000);
+    bench_curve("secp256k1", p, a, b, gx, gy, 2000);
 
     u64 pr[4] = {0xFFFFFFFFFFFFFFFFULL, 0x00000000FFFFFFFFULL,
                  0x0000000000000000ULL, 0xFFFFFFFF00000001ULL};
@@ -727,7 +619,7 @@ int main(void) {
                   0xF8BCE6E563A440F2ULL, 0x6B17D1F2E12C4247ULL};
     u64 gry[4] = {0xCBB6406837BF51F5ULL, 0x2BCE33576B315ECEULL,
                   0x8EE7EB4A7C0F9E16ULL, 0x4FE342E2FE1A7F9BULL};
-    bench_curve("secp256r1 (div path) ", pr, ar, br, grx, gry, 500);
+    bench_curve("secp256r1", pr, ar, br, grx, gry, 500);
     return 0;
 }
 #endif

@@ -260,11 +260,11 @@ def _scalar_mul_any_base(c: CurveParams, k: int, P: Point) -> Point:
     return _scalar_mul_python(c, k, P)
 
 
-# A table for a base other than G repays its build after about 9
-# multiplications on secp256k1 (build 1.9 ms; 63 us per table k*P against
-# 265 us by double-and-add, ctypes included) and about 6 on secp256r1
-# (3.4 ms; 126 against 696 us), on a 2-vCPU Xeon.  16 leaves a margin, and
-# calls of a few blocks keep double-and-add.
+# A table for a base other than G repays its build after about 10
+# multiplications on secp256k1 (build 2.2 ms; 73 us per table k*P against
+# 298 us by double-and-add, ctypes included) and about 9 on secp256r1
+# (1.9 ms; 63 against 279 us), on a 2-vCPU Xeon; six runs ranged from 7 to
+# 12.  16 leaves a margin, and calls of a few blocks keep double-and-add.
 FIXED_BASE_MIN_USES = 16
 
 

@@ -29,8 +29,8 @@ def toy1009():
     return curve_mod.CurveParams(1009, 1, 1, 1, 149, 1034, name="toy1009")
 
 
-# standard curves whose primes do not take the kernel's folded reduction,
-# used to exercise the generic division path and the nonzero-a formulas
+# standard curves with a = -3, for the kernel's nonzero-a formulas; their
+# primes fill nine limbs (2^521 - 1) and have a low limb of all ones (P-256)
 SECP521R1 = dict(
     p=2**521 - 1,
     a=-3,

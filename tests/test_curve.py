@@ -328,7 +328,7 @@ class TestBackendEquivalence:
 
     def test_agreement_off_the_generator(self, tiny, c192, c256, c256r, c521):
         # k*G takes the fixed-base table, so a base of 7*G keeps the
-        # kernel's double-and-add, fold and division reductions, compared
+        # kernel's double-and-add under test
         if curve_mod.active_backend() != "native":
             pytest.skip("no native kernel to compare against")
         rng = random.Random(2025)

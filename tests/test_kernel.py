@@ -1,21 +1,30 @@
-"""The kernel's fixed-base tables and its x-window search against pure Python.
+"""The kernel's field arithmetic, fixed-base tables and x-window search
+against pure Python.
 
-The cached k*G table, the encryption pipeline's per-call table for k*P_B
-and the search must give exactly the points the pure-Python path gives:
-k*P is unique, and so is the smallest-x embedding of a block.
+The field multiply and inverse must agree with Python ints for every odd
+prime the kernel takes.  The cached k*G table, the encryption pipeline's
+per-call table for k*P_B and the search must give exactly the points the
+pure-Python path gives: k*P is unique, and so is the smallest-x embedding
+of a block.
 """
 
+import ctypes
 import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecelgamal import _native, codec
 from ecelgamal import curve as curve_mod
 from ecelgamal.codec import EncodingParams, encode_block
 from ecelgamal.curve import IDENTITY, CurveParams, Point, enumerate_points, scalar_mul
 from ecelgamal.errors import BadOrder, EncodingFailure, WorkerFailure
+from ecelgamal.field import is_probable_prime
 from ecelgamal.pipeline import ExecMode, run_encrypt_pipeline
+
+from .conftest import SECP256R1
 
 pytestmark = pytest.mark.skipif(
     curve_mod.active_backend() != "native", reason="no native kernel to compare against"
@@ -55,6 +64,67 @@ def window_params(c: CurveParams) -> EncodingParams:
     if c.p < 1 << 8:
         return EncodingParams(kappa=2, block_bits=3)
     return EncodingParams(kappa=32, block_bits=32)
+
+
+def next_prime(n: int) -> int:
+    n |= 1
+    while not is_probable_prime(n):
+        n += 2
+    return n
+
+
+EDGE_PRIMES = {
+    "23": 23,
+    "2^64-59": 2**64 - 59,                   # one limb, nearly all ones
+    "first above 2^64": next_prime(2**64),   # two limbs, top limb 1
+    "secp192k1": 2**192 - 2**32 - 4553,      # top limbs all ones
+    "secp256k1": 2**256 - 2**32 - 977,
+    "P-256": SECP256R1["p"],                 # p[0] = 2^64 - 1, so -p^-1 = 1 mod 2^64
+    "2^521-1": 2**521 - 1,                   # nine limbs
+}
+
+
+@pytest.fixture(scope="module")
+def field_check():
+    """(x*y mod p, x^(p-2) mod p) from the kernel's eck_field_check."""
+    fn = ctypes.CDLL(str(_native.load_kernel().path)).eck_field_check
+    fn.restype = ctypes.c_int
+    fn.argtypes = [ctypes.POINTER(ctypes.c_uint64), ctypes.c_int] + [
+        ctypes.POINTER(ctypes.c_uint64)] * 4
+    limbs = _native.Kernel._limbs
+
+    def run(p: int, x: int, y: int) -> tuple[int, int]:
+        nl = (p.bit_length() + 63) // 64
+        xy, xinv = (ctypes.c_uint64 * nl)(), (ctypes.c_uint64 * nl)()
+        assert fn(limbs(p, nl), nl, limbs(x, nl), limbs(y, nl), xy, xinv) == 0
+        return int.from_bytes(bytes(xy), "little"), int.from_bytes(bytes(xinv), "little")
+
+    return run
+
+
+def check_field(field_check, p: int, x: int, y: int) -> None:
+    xy, xinv = field_check(p, x, y)
+    assert xy == x * y % p, (p, x, y)
+    assert xinv == pow(x, p - 2, p), (p, x)  # the inverse, and 0 for x = 0
+
+
+class TestFieldArithmetic:
+    @pytest.mark.parametrize("p", EDGE_PRIMES.values(), ids=EDGE_PRIMES.keys())
+    def test_edge_primes(self, field_check, p):
+        assert is_probable_prime(p)
+        rng = random.Random(p)
+        operands = [0, 1, 2, p - 2, p - 1] + [rng.randrange(p) for _ in range(6)]
+        for x in operands:
+            for y in operands:
+                check_field(field_check, p, x, y)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_primes(self, field_check, data):
+        bits = data.draw(st.integers(min_value=5, max_value=521), label="bits")
+        p = next_prime(data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1)))
+        operand = st.one_of(st.sampled_from([0, 1, p - 2, p - 1]), st.integers(0, p - 1))
+        check_field(field_check, p, data.draw(operand), data.draw(operand))
 
 
 class TestFixedBase:

@@ -47,6 +47,18 @@ class TestLoader:
         with pytest.raises(ValueError):
             kernel.scalar_mul(ctx, 1 << (64 * 65), (3, 10))
 
+    @pytest.mark.parametrize("flags", [_native._CFLAGS, ["-O3", "-DECK_BENCH_MAIN"]],
+                             ids=["shared-library", "bench-harness"])
+    def test_compiles_without_warnings(self, tmp_path, flags):
+        compiler = _native._find_compiler()
+        if compiler is None:
+            pytest.skip("no C compiler")
+        proc = subprocess.run(
+            [compiler, *flags, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "out"), str(_native._SOURCE)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_package_directory_is_no_cache(self, monkeypatch):
         monkeypatch.delenv("ECELGAMAL_KERNEL_DIR", raising=False)
         assert _native._SOURCE.parent not in list(_native._candidate_dirs())
