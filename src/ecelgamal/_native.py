@@ -89,9 +89,9 @@ class Kernel:
 
     def __init__(self, lib: ctypes.CDLL, path: Path):
         self.path = path
-        # p, nl, a, k, knl, px, py, pinf, rx, ry
-        self._mul = _bind(lib.eck_scalar_mul, _U64P, _INT, _U64P, _U64P, _INT,
-                          _U64P, _U64P, _INT, _U64P, _U64P)
+        # p, nl, a, k, windows, count, pts, adds, out
+        self._mul_add = _bind(lib.eck_mul_add, _U64P, _INT, _U64P, _U64P, _INT,
+                              _INT, _U64P, _U64P, _U64P)
         # p, nl, a, gx, gy, rows, table
         self._table = _bind(lib.eck_base_table, _U64P, _INT, _U64P, _U64P, _U64P,
                             _INT, _U64P)
@@ -125,24 +125,57 @@ class Kernel:
             raise ValueError(f"modulus needs {nl} limbs; kernel supports {MAX_LIMBS}")
         return (nl, self._limbs(p, nl), self._limbs(a % p, nl), self._limbs(b % p, nl))
 
-    def scalar_mul(self, ctx, k: int, point):
-        """k * point; point is an (x, y) int pair or None for the identity."""
+    def mul_add(self, ctx, k: int, width: int, points, addends=None):
+        """[k * P + Q for P, Q in zip(points, addends)] in one kernel call.
+
+        Points and addends are (x, y) int pairs or None for the identity;
+        addends=None adds nothing, and a result is None for the identity.
+        The kernel reads 4-bit windows of k up to the larger of `width` and
+        k's own bit length, so a caller that passes the width of the group
+        order keeps a secret k's size out of the loop count.
+        """
         nl, p_arr, a_arr, _ = ctx
-        knl = max(1, (k.bit_length() + 63) // 64)
+        windows = max(1, (max(width, k.bit_length()) + 3) // 4)
+        knl = (windows + 15) // 16
         if knl > MAX_SCALAR_LIMBS:
             raise ValueError("scalar too wide for the kernel")
-        k_arr = self._limbs(k, knl)
-        if point is None:
-            pinf = 1
-            px = py = (ctypes.c_uint64 * nl)()
-        else:
-            pinf = 0
-            px = self._limbs(point[0], nl)
-            py = self._limbs(point[1], nl)
-        rx = (ctypes.c_uint64 * nl)()
-        ry = (ctypes.c_uint64 * nl)()
-        rc = self._mul(p_arr, nl, a_arr, k_arr, knl, px, py, pinf, rx, ry)
-        return self._pair(rc, rx, ry, "scalar multiplication")
+        count = len(points)
+        if addends is not None and len(addends) != count:
+            raise ValueError(f"{len(addends)} addends for {count} points")
+        el = 2 * nl + 1
+        out = (ctypes.c_uint64 * (count * el))()
+        adds = None if addends is None else self._entries(addends, nl)
+        rc = self._mul_add(p_arr, nl, a_arr, self._limbs(k, knl), windows, count,
+                           self._entries(points, nl), adds, out)
+        if rc != 0:
+            raise RuntimeError(f"kernel rejected multiply-add (rc={rc})")
+        raw, size = bytes(out), 8 * nl
+        results = []
+        for i in range(0, count * 8 * el, 8 * el):
+            if raw[i + 2 * size]:
+                results.append(None)
+            else:
+                results.append((int.from_bytes(raw[i:i + size], "little"),
+                                int.from_bytes(raw[i + size:i + 2 * size], "little")))
+        return results
+
+    @staticmethod
+    def _entries(points, nl: int):
+        """Points in the kernel's entry layout: x and y of nl limbs each, then
+        one limb that is 1 for the identity (x = y = 0) and 0 otherwise."""
+        size = 8 * nl
+        identity = bytes(2 * size) + (1).to_bytes(8, "little")
+        flag = bytes(8)
+        buf = b"".join(
+            identity if pt is None
+            else pt[0].to_bytes(size, "little") + pt[1].to_bytes(size, "little") + flag
+            for pt in points
+        )
+        return (ctypes.c_uint64 * (len(buf) // 8)).from_buffer_copy(buf)
+
+    def scalar_mul(self, ctx, k: int, point):
+        """k * point; point is an (x, y) int pair or None for the identity."""
+        return self.mul_add(ctx, k, 0, [point])[0]
 
     def base_table(self, ctx, g, n: int):
         """Fixed-base table of g serving every scalar below n; g is an (x, y) pair.

@@ -8,10 +8,13 @@ available and to a pure-Python double-and-add loop otherwise.  In the
 kernel, a base multiplied many times uses a fixed-base table of 4-bit
 windows: G's table is built on the first k*G and cached on the curve, and
 :func:`fixed_base` builds one for a caller that multiplies another base,
-such as a public key, often enough to repay the build.  Every other
-multiplication uses double-and-add.  All of them produce identical points,
-as any correct method must, since k*P is unique.  Use :func:`set_backend`
-to pin a backend explicitly.
+such as a public key, often enough to repay the build.  Every other base
+goes through one variable-base entry point, :func:`_mul_add`, which forms
+k*P_i + Q_i for a batch of bases under one scalar: a small table per base
+and fixed 4-bit windows, as many as the group order has.  Decryption uses
+it for c2 - s*c1 of every block at once.  All of them produce identical
+points, as any correct method must, since k*P is unique.  Use
+:func:`set_backend` to pin a backend explicitly.
 """
 
 from __future__ import annotations
@@ -242,6 +245,10 @@ def _point_or_identity(xy) -> Point:
     return IDENTITY if xy is None else Point(*xy)
 
 
+def _pair_or_none(P: Point):
+    return None if P.x is None else (P.x, P.y)
+
+
 def _scalar_mul_python(c: CurveParams, k: int, P: Point) -> Point:
     acc = IDENTITY
     for bit in range(k.bit_length() - 1, -1, -1):
@@ -251,20 +258,37 @@ def _scalar_mul_python(c: CurveParams, k: int, P: Point) -> Point:
     return acc
 
 
-def _scalar_mul_any_base(c: CurveParams, k: int, P: Point) -> Point:
-    """k * P by double-and-add, in the kernel when it is active; P a member."""
+def _mul_add(c: CurveParams, k: int, points, addends=None) -> list[Point]:
+    """[k*P + Q for P, Q in zip(points, addends)], members all, in one call.
+
+    On the kernel this is one eck_mul_add call: fixed 4-bit windows, as
+    many as the wider of n and k has, and shared inversions.  The Python
+    backend multiplies by double-and-add and adds in a loop.  addends=None
+    adds nothing.
+    """
     native = _native_context(c)
-    if native is not None and k.bit_length() <= 64 * _native.MAX_SCALAR_LIMBS:
+    if native is not None and points and k.bit_length() <= 64 * _native.MAX_SCALAR_LIMBS:
         kernel, ctx = native
-        return _point_or_identity(kernel.scalar_mul(ctx, k, (P.x, P.y)))
-    return _scalar_mul_python(c, k, P)
+        qs = None if addends is None else [_pair_or_none(Q) for Q in addends]
+        results = kernel.mul_add(ctx, k, c.n.bit_length(),
+                                 [_pair_or_none(P) for P in points], qs)
+        return [_point_or_identity(xy) for xy in results]
+    if addends is None:
+        return [_scalar_mul_python(c, k, P) for P in points]
+    return [_add(c, _scalar_mul_python(c, k, P), Q) for P, Q in zip(points, addends)]
+
+
+def _scalar_mul_any_base(c: CurveParams, k: int, P: Point) -> Point:
+    """k * P for a member P, by _mul_add with one base and no addend."""
+    return _mul_add(c, k, [P])[0]
 
 
 # A table for a base other than G repays its build after about 10
 # multiplications on secp256k1 (build 2.2 ms; 73 us per table k*P against
-# 298 us by double-and-add, ctypes included) and about 9 on secp256r1
-# (1.9 ms; 63 against 279 us), on a 2-vCPU Xeon; six runs ranged from 7 to
-# 12.  16 leaves a margin, and calls of a few blocks keep double-and-add.
+# 298 us by the double-and-add of that time, ctypes included) and about 9
+# on secp256r1 (1.9 ms; 63 against 279 us), on a 2-vCPU Xeon; six runs
+# ranged from 7 to 12.  16 leaves a margin, and calls of a few blocks take
+# the windowed variable-base path.
 FIXED_BASE_MIN_USES = 16
 
 

@@ -4,7 +4,9 @@ Encryption of a message point P_M under public key P_B with nonce k is the
 pair (k*G, P_M + k*P_B); the holder of the secret n_B recovers P_M by
 subtracting n_B times the first component from the second.  Byte-string
 messages are chunked, embedded into points, and processed block by block
-through the execution pipeline in either mode.
+through the execution pipeline in either mode.  Decryption forms
+c2 + n_B * (-c1) for every block of a ciphertext in one variable-base call
+(curve._mul_add), which the kernel serves with shared inversions.
 
 The scheme is unauthenticated by design: decrypting with a wrong key gives
 garbage, not an error.
@@ -27,6 +29,7 @@ from .curve import (
     CurveParams,
     Point,
     _add,
+    _mul_add,
     _neg,
     _require_member,
     get_curve,
@@ -79,14 +82,20 @@ def encrypt_block(c: CurveParams, p_m: Point, p_b: Point, k: int) -> CiphertextB
     )
 
 
-def decrypt_block(c: CurveParams, block: CiphertextBlock, secret: int) -> Point:
-    """Recover P_M as c2 - secret * c1."""
-    _require_member(c, block.c1, "first component")
-    _require_member(c, block.c2, "second component")
+def _recover_points(c: CurveParams, blocks, secret: int) -> list[Point]:
+    """c2 - secret * c1 for every block, as secret * (-c1) + c2 in one call."""
+    for block in blocks:
+        _require_member(c, block.c1, "first component")
+        _require_member(c, block.c2, "second component")
     if not 1 <= secret <= c.n - 1:
         raise ValueError(f"secret must lie in [1, {c.n - 1}], got {secret}")
-    shared = scalar_mul(c, secret, block.c1)
-    return _add(c, block.c2, _neg(c, shared))
+    return _mul_add(c, secret, [_neg(c, block.c1) for block in blocks],
+                    [block.c2 for block in blocks])
+
+
+def decrypt_block(c: CurveParams, block: CiphertextBlock, secret: int) -> Point:
+    """Recover P_M as c2 - secret * c1."""
+    return _recover_points(c, [block], secret)[0]
 
 
 @dataclass(frozen=True)
@@ -136,14 +145,15 @@ def encrypt(
 
 
 def decrypt(ct: Ciphertext, secret: int, c: CurveParams | None = None) -> bytes:
-    """Invert encrypt; the curve is resolved from the header when not given."""
+    """Invert encrypt; the curve is resolved from the header when not given.
+
+    Every block's P_M comes from one multiply-add call over the whole
+    ciphertext, then each is decoded.
+    """
     if c is None:
         c = get_curve(ct.curve_name)
     params = EncodingParams(kappa=ct.kappa, block_bits=ct.block_bits)
-    values = [
-        decode_block(params, decrypt_block(c, block, secret))
-        for block in ct.blocks
-    ]
+    values = [decode_block(params, pt) for pt in _recover_points(c, ct.blocks, secret)]
     return join_message(values, ct.block_bits, ct.original_length)
 
 

@@ -327,14 +327,15 @@ class TestBackendEquivalence:
                 assert native == pure, (c.name, k)
 
     def test_agreement_off_the_generator(self, tiny, c192, c256, c256r, c521):
-        # k*G takes the fixed-base table, so a base of 7*G keeps the
-        # kernel's double-and-add under test
+        # k*G takes the fixed-base table, so a base of 7*G keeps the kernel's
+        # variable-base eck_mul_add under test, with scalars up to n + 1 and
+        # wider than n
         if curve_mod.active_backend() != "native":
             pytest.skip("no native kernel to compare against")
         rng = random.Random(2025)
         for c in (tiny, c192, c256, c256r, c521):
             base = scalar_mul(c, 7, c.g)
-            scalars = [0, 1, 2, c.n - 1, c.n, c.n + 1]
+            scalars = [0, 1, 2, 15, 16, c.n - 1, c.n, c.n + 1, (c.n << 5) + 3]
             scalars += [rng.randrange(0, 2 * c.n) for _ in range(10)]
             for k in scalars:
                 native = scalar_mul(c, k, base)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ecelgamal.codec import EncodingParams
+from ecelgamal import curve as curve_mod
+from ecelgamal.codec import EncodingParams, decode_block
 from ecelgamal.curve import IDENTITY, enumerate_points, point_order, scalar_mul
 from ecelgamal.elgamal import (
     Ciphertext,
@@ -370,6 +371,34 @@ class TestCiphertextFiles:
         lines[4] = " ".join(parts)
         with pytest.raises(OffCurveInput):
             parse_ciphertext("\n".join(lines))
+
+    @pytest.mark.parametrize("backend", ["native", "python"])
+    def test_decrypt_matches_decrypt_block(self, tiny, c256, backend):
+        # decrypt recovers every block in one multiply-add call; it must
+        # give what decrypt_block gives one block at a time, O tokens included
+        try:
+            curve_mod.set_backend(backend)
+        except RuntimeError:
+            pytest.skip("no native kernel")
+        for c in (tiny, c256):
+            rng = random.Random(f"block-for-block:{c.name}")
+            secret = rng.randrange(1, c.n)
+            members = [scalar_mul(c, rng.randrange(1, c.n), c.g) for _ in range(8)]
+            blocks = [CiphertextBlock(IDENTITY, members[0]),
+                      CiphertextBlock(members[1], IDENTITY)]
+            while len(blocks) < 24:
+                block = CiphertextBlock(rng.choice(members), rng.choice(members))
+                if decrypt_block(c, block, secret) != IDENTITY:
+                    blocks.append(block)
+            # kappa above p / 256, so every recovered x decodes to 8 bits
+            text = render_ciphertext(Ciphertext(c.name, 8, c.p // 256 + 2,
+                                                len(blocks), tuple(blocks)))
+            ct = parse_ciphertext(text)
+            assert ct.blocks[0].c1 == IDENTITY and ct.blocks[1].c2 == IDENTITY
+            params = EncodingParams(kappa=ct.kappa, block_bits=8)
+            expected = bytes(decode_block(params, decrypt_block(c, block, secret))
+                             for block in ct.blocks)
+            assert decrypt(ct, secret) == expected
 
     def test_wrong_key_returns_garbage_not_error(self, c256):
         kp, msg, ct = self._sample(c256)

@@ -1,11 +1,11 @@
-"""The kernel's field arithmetic, fixed-base tables and x-window search
-against pure Python.
+"""The kernel's field arithmetic, variable-base multiply-add, fixed-base
+tables and x-window search against pure Python.
 
 The field multiply and inverse must agree with Python ints for every odd
-prime the kernel takes.  The cached k*G table, the encryption pipeline's
-per-call table for k*P_B and the search must give exactly the points the
-pure-Python path gives: k*P is unique, and so is the smallest-x embedding
-of a block.
+prime the kernel takes.  eck_mul_add (through decrypt and scalar_mul), the
+cached k*G table, the encryption pipeline's per-call table for k*P_B and
+the search must give exactly the points the pure-Python path gives: k*P is
+unique, and so is the smallest-x embedding of a block.
 """
 
 import ctypes
@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from ecelgamal import _native, codec
 from ecelgamal import curve as curve_mod
-from ecelgamal.codec import EncodingParams, encode_block
+from ecelgamal.codec import EncodingParams, decode_block, encode_block
 from ecelgamal.curve import IDENTITY, CurveParams, Point, enumerate_points, scalar_mul
-from ecelgamal.errors import BadOrder, EncodingFailure, WorkerFailure
+from ecelgamal.elgamal import Ciphertext, decrypt, decrypt_block
+from ecelgamal.errors import BadOrder, EncodingFailure, IdentityPointError, WorkerFailure
 from ecelgamal.field import is_probable_prime
-from ecelgamal.pipeline import ExecMode, run_encrypt_pipeline
+from ecelgamal.pipeline import CiphertextBlock, ExecMode, run_encrypt_pipeline
 
 from .conftest import SECP256R1
 
@@ -125,6 +126,109 @@ class TestFieldArithmetic:
         p = next_prime(data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1)))
         operand = st.one_of(st.sampled_from([0, 1, p - 2, p - 1]), st.integers(0, p - 1))
         check_field(field_check, p, data.draw(operand), data.draw(operand))
+
+
+def any_block_ciphertext(c: CurveParams, blocks) -> Ciphertext:
+    """A ciphertext whose header decodes every affine point: 8-bit blocks,
+    kappa above p / 256, so x // kappa always fits."""
+    return Ciphertext(c.name, 8, max(2, c.p // 256 + 1), len(blocks), tuple(blocks))
+
+
+def random_blocks(c: CurveParams, secret: int, count: int, rng: random.Random):
+    """count blocks of random members, none recovering to the identity; from
+    two blocks on one has c1 = O, and from three blocks on one has c2 = O."""
+    blocks = []
+    while len(blocks) < count:
+        c1 = scalar_mul(c, rng.randrange(1, c.n), c.g)
+        c2 = scalar_mul(c, rng.randrange(1, c.n), c.g)
+        if len(blocks) == 1:
+            c1 = IDENTITY
+        elif len(blocks) == count - 1 and count > 2:
+            c2 = IDENTITY
+        # on tiny23 about one block in 28 recovers to O, which decrypt rejects;
+        # on the large curves that has no measurable chance
+        block = CiphertextBlock(c1, c2)
+        if c.n > 1 << 16 or pure(decrypt_block, c, block, secret) != IDENTITY:
+            blocks.append(block)
+    return blocks
+
+
+class TestMulAdd:
+    """eck_mul_add: k*P_i + Q_i for a batch of bases, one kernel call."""
+
+    @pytest.mark.parametrize("count", [1, 2, 16, 40, 130])
+    def test_decrypt_agrees_with_python(self, curve, count):
+        # 130 blocks span three of the kernel's 64-base inversion batches
+        if curve.name == "test-p521" and count == 130:
+            count = 70
+        rng = random.Random(f"mul-add:{curve.name}:{count}")
+        secret = rng.randrange(1, curve.n)
+        ct = any_block_ciphertext(curve, random_blocks(curve, secret, count, rng))
+        expected = [pure(decrypt_block, curve, b, secret) for b in ct.blocks]
+        assert [decrypt_block(curve, b, secret) for b in ct.blocks] == expected
+        params = EncodingParams(kappa=ct.kappa, block_bits=ct.block_bits)
+        assert decrypt(ct, secret, curve) == bytes(decode_block(params, pt) for pt in expected)
+
+    def test_identity_components(self, curve):
+        rng = random.Random(f"identity:{curve.name}")
+        secret = rng.randrange(1, curve.n)
+        c1 = scalar_mul(curve, rng.randrange(1, curve.n), curve.g)
+        c2 = scalar_mul(curve, rng.randrange(1, curve.n), curve.g)
+        shared = scalar_mul(curve, secret, c1)
+        cases = [
+            (CiphertextBlock(IDENTITY, c2), c2),
+            (CiphertextBlock(c1, IDENTITY), curve_mod._neg(curve, shared)),
+            (CiphertextBlock(IDENTITY, IDENTITY), IDENTITY),
+            (CiphertextBlock(c1, shared), IDENTITY),  # c2 = s*c1
+        ]
+        for block, expected in cases:
+            assert decrypt_block(curve, block, secret) == expected
+            assert pure(decrypt_block, curve, block, secret) == expected
+        for run in (lambda f, *a: f(*a), pure):
+            ct = any_block_ciphertext(curve, [cases[0][0], cases[3][0]])
+            with pytest.raises(IdentityPointError):
+                run(decrypt, ct, secret, curve)
+
+    def test_small_order_bases(self, tiny):
+        # tiny23 has points of order 2, 4, 7, 14 and 28; (23, 1, 1, 2G, 14)
+        # makes G a base of order 28 outside its generator's group of order 14
+        half = CurveParams(23, 1, 1, *scalar_mul(tiny, 2, tiny.g).coords(), 14)
+        for c in (tiny, half):
+            members = enumerate_points(c)
+            for P in members:
+                for k in range(3 * c.n):
+                    assert scalar_mul(c, k, P) == pure(scalar_mul, c, k, P), (c.n, P, k)
+            rng = random.Random(c.n)
+            for secret in (1, 2, c.n - 1):
+                blocks = [CiphertextBlock(rng.choice(members), rng.choice(members))
+                          for _ in range(40)]
+                assert [decrypt_block(c, b, secret) for b in blocks] == [
+                    pure(decrypt_block, c, b, secret) for b in blocks]
+
+    def test_order_and_wider_scalars(self, curve):
+        base = scalar_mul(curve, 7, curve.g)
+        n = curve.n
+        assert scalar_mul(curve, n, base) == IDENTITY
+        # CurveParams' own n*G check takes this path with k = n
+        assert curve_mod._scalar_mul_any_base(curve, n, curve.g) == IDENTITY
+        with pytest.raises(BadOrder):
+            CurveParams(curve.p, curve.a.value, curve.b.value, *curve.g.coords(), n + 1)
+        for k in (n + 1, 2 * n - 1, 16 * n + 3, (n << 70) + 5, (1 << (n.bit_length() + 9)) - 1):
+            assert scalar_mul(curve, k, base) == pure(scalar_mul, curve, k, base), k
+
+    def test_invalid_arguments(self, tiny):
+        kernel = _native.load_kernel()
+        ctx = kernel.field_context(tiny.p, tiny.a.value, tiny.b.value)
+        with pytest.raises(RuntimeError, match=r"multiply-add \(rc=-1\)"):
+            kernel.mul_add(ctx, 3, 5, [])  # count 0
+        nl, p_arr, a_arr, b_arr = ctx
+        wide = (10, (ctypes.c_uint64 * 10)(*p_arr, *[0] * 9), a_arr, b_arr)
+        with pytest.raises(RuntimeError, match=r"multiply-add \(rc=-1\)"):
+            kernel.mul_add(wide, 3, 5, [tiny.g.coords()])  # nl > 9
+        with pytest.raises(ValueError, match="too wide"):
+            kernel.mul_add(ctx, 1 << (64 * 64), 5, [tiny.g.coords()])
+        with pytest.raises(ValueError, match="1 addends for 2 points"):
+            kernel.mul_add(ctx, 3, 5, [tiny.g.coords()] * 2, [None])
 
 
 class TestFixedBase:
