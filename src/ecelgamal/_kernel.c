@@ -404,6 +404,15 @@ static void jp_batch_affine(const ecctx *c, const jpoint *q, int n, u64 *out,
     }
 }
 
+/* row[d - 1] = d * B for d = 1..15, B = (x, y) affine in Montgomery form,
+ * as O + B and then 14 mixed additions; all identities when inf is set. */
+static void jp_row(const ecctx *c, jpoint *row, const u64 *x, const u64 *y, int inf) {
+    for (int d = 0; d < WIN; d++) {
+        jp_set_inf(&row[d], c->nl);
+        if (!inf) jp_add_affine(c, &row[d], &row[d ? d - 1 : 0], x, y);
+    }
+}
+
 /* acc += digit * B for the 15 entries d * B (d = 1..15) of one table row.
  * The whole row is read under a mask, so the digit picks no address. */
 static void jp_add_digit(const ecctx *c, jpoint *acc, const u64 *entries, u64 digit) {
@@ -445,18 +454,10 @@ EXPORT int eck_mul_add(const u64 *p, int nl, const u64 *a,
 
         for (int i = 0; i < n; i++) {  /* row i: d * P_i for d = 1..15 */
             const u64 *in = pts + (size_t)(first + i) * el;
-            jpoint *row = jp + (size_t)i * WIN;
             u64 x[MAXL], y[MAXL];
-            if (in[2 * nl]) {
-                for (int d = 0; d < WIN; d++) jp_set_inf(&row[d], nl);
-                continue;
-            }
             to_mont(&ctx, x, in);
             to_mont(&ctx, y, in + nl);
-            vset(row[0].X, x, nl);
-            vset(row[0].Y, y, nl);
-            vset(row[0].Z, ctx.one, nl);
-            for (int d = 1; d < WIN; d++) jp_add_affine(&ctx, &row[d], &row[d - 1], x, y);
+            jp_row(&ctx, jp + (size_t)i * WIN, x, y, (int)in[2 * nl]);
         }
         jp_batch_affine(&ctx, jp, n * WIN, tab, pre, 0);
 
@@ -501,15 +502,8 @@ EXPORT int eck_base_table(const u64 *p, int nl, const u64 *a,
     to_mont(&ctx, by, gy);
 
     for (int row = 0; row < rows; row++) {
-        if (binf) {  /* B = O, and so is every multiple of it */
-            for (int d = 0; d <= WIN; d++) jp_set_inf(&pts[d], nl);
-        } else {
-            vset(pts[0].X, bx, nl);
-            vset(pts[0].Y, by, nl);
-            vset(pts[0].Z, ctx.one, nl);
-            for (int d = 1; d < WIN; d++) jp_add_affine(&ctx, &pts[d], &pts[d - 1], bx, by);
-            jp_double(&ctx, &pts[WIN], &pts[7]);  /* 16 * B, the next row's base */
-        }
+        jp_row(&ctx, pts, bx, by, binf);
+        jp_double(&ctx, &pts[WIN], &pts[7]);  /* 16 * B, the next row's base */
         jp_batch_affine(&ctx, pts, WIN + 1, aff, pre, 0);
         memcpy(table + (size_t)row * WIN * el, aff, (size_t)WIN * el * sizeof *aff);
         vset(bx, aff + WIN * el, nl);

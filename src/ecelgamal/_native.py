@@ -173,10 +173,6 @@ class Kernel:
         )
         return (ctypes.c_uint64 * (len(buf) // 8)).from_buffer_copy(buf)
 
-    def scalar_mul(self, ctx, k: int, point):
-        """k * point; point is an (x, y) int pair or None for the identity."""
-        return self.mul_add(ctx, k, 0, [point])[0]
-
     def base_table(self, ctx, g, n: int):
         """Fixed-base table of g serving every scalar below n; g is an (x, y) pair.
 

@@ -108,7 +108,7 @@ class CurveParams:
         if self.n <= 1:
             raise BadOrder(f"generator order must exceed 1, got {n}")
         # not scalar_mul: its table path reduces k mod n, so n*G would be 0*G
-        if not _scalar_mul_any_base(self, self.n, self.g).is_identity:
+        if not _mul_add(self, self.n, [self.g])[0].is_identity:
             raise BadOrder(f"n*G is not the identity for n = {n}")
 
     def point(self, x: int, y: int) -> Point:
@@ -278,11 +278,6 @@ def _mul_add(c: CurveParams, k: int, points, addends=None) -> list[Point]:
     return [_add(c, _scalar_mul_python(c, k, P), Q) for P, Q in zip(points, addends)]
 
 
-def _scalar_mul_any_base(c: CurveParams, k: int, P: Point) -> Point:
-    """k * P for a member P, by _mul_add with one base and no addend."""
-    return _mul_add(c, k, [P])[0]
-
-
 # A table for a base other than G repays its build after about 10
 # multiplications on secp256k1 (build 2.2 ms; 73 us per table k*P against
 # 298 us by the double-and-add of that time, ctypes included) and about 9
@@ -343,7 +338,7 @@ def scalar_mul(c: CurveParams, k: int, P: Point) -> Point:
         return IDENTITY
     mul = _table_mul(c, P) if P == c.g else None
     if mul is None:
-        return _scalar_mul_any_base(c, k, P)
+        return _mul_add(c, k, [P])[0]
     return mul(k % c.n)
 
 

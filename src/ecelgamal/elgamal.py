@@ -28,7 +28,6 @@ from .codec import (
 from .curve import (
     CurveParams,
     Point,
-    _add,
     _mul_add,
     _neg,
     _require_member,
@@ -72,14 +71,7 @@ def random_nonces(c: CurveParams, rng) -> Iterator[int]:
 
 def encrypt_block(c: CurveParams, p_m: Point, p_b: Point, k: int) -> CiphertextBlock:
     """One block of the core scheme: (k*G, P_M + k*P_B)."""
-    _require_member(c, p_m, "message point")
-    _require_member(c, p_b, "public point")
-    if not 1 <= k <= c.n - 1:
-        raise ValueError(f"nonce must lie in [1, {c.n - 1}], got {k}")
-    return CiphertextBlock(
-        scalar_mul(c, k, c.g),
-        _add(c, p_m, scalar_mul(c, k, p_b)),
-    )
+    return run_encrypt_pipeline(c, [p_m], p_b, [k])[0][0]
 
 
 def _recover_points(c: CurveParams, blocks, secret: int) -> list[Point]:

@@ -1,14 +1,20 @@
 """Single- and dual-worker execution of the per-block encryption work.
 
 Both modes compute, for every message point P_M with nonce k, the pair
-(k*G, P_M + k*P_B).  Single mode runs everything on one worker.  Dual mode
-gives worker 1 the k*G products and the final additions, worker 2 the
-k*P_B products; the two exchange partial results through a lock-guarded
-shared region, one block at a time:
+(k*G, P_M + k*P_B).  Single mode runs everything on one worker, the
+calling thread.  Dual mode gives worker 1 the k*G products and the final
+additions, worker 2 the k*P_B products; worker 1 is the calling thread and
+worker 2 the one thread the pipeline starts (pipeline-w2).  The two
+exchange partial results through a lock-guarded shared region, one block
+at a time:
 
     worker 1: compute k*G   -> lock, deposit, unlock
     worker 2: compute k*P_B -> lock, deposit, unlock
     worker 1: lock, collect both slots, clear them, unlock -> add, emit
+
+Worker 2 begins once worker 1 has deposited its first k*G.  A worker that
+fails aborts the region, which wakes its partner out of any wait; worker 1
+joins worker 2 before the failure is reported.
 
 On the kernel, a call of at least FIXED_BASE_MIN_USES blocks first builds a
 fixed-base table for P_B, in the calling thread, and every k*P_B of the
@@ -142,7 +148,7 @@ class LockHandle:
 
 
 class _Cancelled(Exception):
-    """Internal: a peer worker failed, abandon the pipeline quietly."""
+    """Internal: the region was aborted because a worker failed."""
 
 
 class SharedRegion:
@@ -151,6 +157,8 @@ class SharedRegion:
     Slot reads and writes are only honored through a live LockHandle, which
     models hardware where shared memory is touched strictly inside the
     lock/unlock protocol.  Lock handoff is FIFO, so no waiter starves.
+    Every wait blocks under the one mutex until a release, a slot change or
+    abort() wakes it.
     """
 
     SLOT_KG = "kG"
@@ -164,12 +172,15 @@ class SharedRegion:
         self._waiters: deque[tuple[int, threading.Event]] = deque()
         self._values: dict[str, Point | None] = {s: None for s in self.SLOTS}
         self._written: dict[str, bool] = {s: False for s in self.SLOTS}
+        self._aborted = False
 
     # -- lock protocol --
 
-    def acquire(self, worker: int, recorder=None, cancel=None) -> LockHandle:
+    def acquire(self, worker: int, recorder=None) -> LockHandle:
         """Block until this worker exclusively owns the region."""
         with self._mutex:
+            if self._aborted:
+                raise _Cancelled()
             if self._owner == worker:
                 raise ReentrantLock(f"worker {worker} already holds the lock")
             if self._owner is None and not self._waiters:
@@ -180,13 +191,9 @@ class SharedRegion:
             gate = threading.Event()
             self._waiters.append((worker, gate))
 
-        while not gate.wait(timeout=0.05):
-            if cancel is not None and cancel.is_set():
-                with self._mutex:
-                    if not gate.is_set():
-                        self._waiters.remove((worker, gate))
-                        raise _Cancelled()
-                break  # ownership arrived while we were cancelling
+        gate.wait()
+        if self._aborted:
+            raise _Cancelled()
         if recorder:
             recorder("lock")
         return LockHandle(self, worker, recorder)
@@ -209,6 +216,15 @@ class SharedRegion:
                 gate.set()
             else:
                 self._owner = None
+
+    def abort(self) -> None:
+        """Wake every waiter; it and every later wait raise _Cancelled."""
+        with self._mutex:
+            self._aborted = True
+            for _, gate in self._waiters:
+                gate.set()
+            self._waiters.clear()
+            self._changed.notify_all()
 
     @property
     def locked(self) -> bool:
@@ -255,27 +271,20 @@ class SharedRegion:
                 self._written[slot] = False
             self._changed.notify_all()
 
-    def wait_for_slot(self, slot: str, written: bool, cancel=None) -> None:
+    def wait_for_slot(self, slot: str, written: bool) -> None:
         """Block until the slot's written-state matches; the lock is NOT held.
 
         Each slot has a single writer and a single consumer, so a state
         observed here cannot be flipped by anyone but the caller's own
-        follow-up lock/access cycle.  The wait spins briefly first: at
-        millisecond block granularity a futex sleep per block would cost
-        more than the work being synchronized.
+        follow-up lock/access cycle.
         """
         if slot not in self.SLOTS:
             raise ValueError(f"unknown slot {slot!r}; expected one of {self.SLOTS}")
-        state = self._written
-        for _ in range(64):
-            if state[slot] == written:
-                return
-            time.sleep(0)  # yield so the peer can progress
         with self._changed:
-            while state[slot] != written:
-                self._changed.wait(timeout=0.05)
-                if cancel is not None and cancel.is_set():
+            while self._written[slot] != written:
+                if self._aborted:
                     raise _Cancelled()
+                self._changed.wait()
 
 
 def _validated_nonces(c: CurveParams, nonces, count: int) -> list[int]:
@@ -311,28 +320,13 @@ def run_encrypt_pipeline(
     mul_pb = fixed_base(c, public, len(points)) or (lambda k: scalar_mul(c, k, public))
 
     out: list[CiphertextBlock] = []
-    cancel = threading.Event()
-    failures: dict[int, BaseException] = {}
-
-    def guarded(worker: int, body):
-        def run():
-            try:
-                body()
-            except _Cancelled:
-                pass
-            except BaseException as exc:
-                failures[worker] = exc
-                cancel.set()
-        return run
-
-    def check_cancel():
-        if cancel.is_set():
-            raise _Cancelled()
+    w2_failure: list[BaseException] = []
 
     if mode == ExecMode.SINGLE:
         rec = _Recorder(1)
+        recorders = [rec]
 
-        def single_worker():
+        def worker_one():
             for pm, k in zip(points, ks):
                 rec("compute_start")
                 c1 = scalar_mul(c, k, c.g)
@@ -345,73 +339,78 @@ def run_encrypt_pipeline(
                 rec("compute_end")
                 out.append(CiphertextBlock(c1, c2))
 
-        workers = [threading.Thread(target=guarded(1, single_worker),
-                                    name="pipeline-w1")]
-        recorders = [rec]
-
     elif mode == ExecMode.DUAL:
         region = SharedRegion()
         rec1 = _Recorder(1)
         rec2 = _Recorder(2)
-
-        def worker_one():
-            for pm, k in zip(points, ks):
-                check_cancel()
-                rec1("compute_start")
-                c1 = scalar_mul(c, k, c.g)
-                rec1("compute_end")
-
-                handle = region.acquire(1, rec1, cancel)
-                region.write(handle, SharedRegion.SLOT_KG, c1)
-                region.release(handle)
-
-                # collect both halves once the partner result lands
-                region.wait_for_slot(SharedRegion.SLOT_KPB, written=True,
-                                     cancel=cancel)
-                handle = region.acquire(1, rec1, cancel)
-                c1_out = region.read(handle, SharedRegion.SLOT_KG)
-                kpb = region.read(handle, SharedRegion.SLOT_KPB)
-                region.reset(handle)
-                region.release(handle)
-
-                rec1("compute_start")
-                c2 = _add(c, pm, kpb)
-                rec1("compute_end")
-                out.append(CiphertextBlock(c1_out, c2))
+        recorders = [rec1, rec2]
 
         def worker_two():
-            for k in ks:
-                check_cancel()
-                rec2("compute_start")
-                kpb = mul_pb(k)
-                rec2("compute_end")
+            try:
+                # begin once worker 1 has deposited its first k*G, so that
+                # every trace opens with worker 1's first lock cycle
+                region.wait_for_slot(SharedRegion.SLOT_KG, written=True)
+                for k in ks:
+                    rec2("compute_start")
+                    kpb = mul_pb(k)
+                    rec2("compute_end")
 
-                # wait for worker 1 to clear the previous round
-                region.wait_for_slot(SharedRegion.SLOT_KPB, written=False,
-                                     cancel=cancel)
-                handle = region.acquire(2, rec2, cancel)
-                region.write(handle, SharedRegion.SLOT_KPB, kpb)
-                region.release(handle)
+                    # wait for worker 1 to clear the previous round
+                    region.wait_for_slot(SharedRegion.SLOT_KPB, written=False)
+                    handle = region.acquire(2, rec2)
+                    region.write(handle, SharedRegion.SLOT_KPB, kpb)
+                    region.release(handle)
+            except _Cancelled:
+                pass  # worker 1 failed, or had no block; it reports a failure
+            except BaseException as exc:
+                w2_failure.append(exc)
+                region.abort()
 
-        workers = [
-            threading.Thread(target=guarded(1, worker_one), name="pipeline-w1"),
-            threading.Thread(target=guarded(2, worker_two), name="pipeline-w2"),
-        ]
-        recorders = [rec1, rec2]
+        def worker_one():
+            w2 = threading.Thread(target=worker_two, name="pipeline-w2")
+            w2.start()
+            try:
+                for pm, k in zip(points, ks):
+                    rec1("compute_start")
+                    c1 = scalar_mul(c, k, c.g)
+                    rec1("compute_end")
+
+                    handle = region.acquire(1, rec1)
+                    region.write(handle, SharedRegion.SLOT_KG, c1)
+                    region.release(handle)
+
+                    # collect both halves once the partner result lands
+                    region.wait_for_slot(SharedRegion.SLOT_KPB, written=True)
+                    handle = region.acquire(1, rec1)
+                    c1_out = region.read(handle, SharedRegion.SLOT_KG)
+                    kpb = region.read(handle, SharedRegion.SLOT_KPB)
+                    region.reset(handle)
+                    region.release(handle)
+
+                    rec1("compute_start")
+                    c2 = _add(c, pm, kpb)
+                    rec1("compute_end")
+                    out.append(CiphertextBlock(c1_out, c2))
+            finally:
+                # wakes worker 2 if this loop raised or had no block; once
+                # both loops are done, worker 2 waits for nothing more
+                region.abort()
+                w2.join()
 
     else:
         raise ValueError(f"unknown execution mode {mode!r}")
 
     start = time.perf_counter()
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
+    try:
+        worker_one()
+    except _Cancelled:
+        pass  # worker 2 failed and aborted the region; reported below
+    except Exception as exc:
+        raise WorkerFailure(1, repr(exc)) from exc
     wall = time.perf_counter() - start
 
-    if failures:
-        worker = min(failures)
-        raise WorkerFailure(worker, repr(failures[worker])) from failures[worker]
+    if w2_failure:
+        raise WorkerFailure(2, repr(w2_failure[0])) from w2_failure[0]
 
     events = tuple(sorted(
         (ev for r in recorders for ev in r.events), key=lambda ev: ev.seq

@@ -210,7 +210,7 @@ class TestMulAdd:
         n = curve.n
         assert scalar_mul(curve, n, base) == IDENTITY
         # CurveParams' own n*G check takes this path with k = n
-        assert curve_mod._scalar_mul_any_base(curve, n, curve.g) == IDENTITY
+        assert curve_mod._mul_add(curve, n, [curve.g])[0] == IDENTITY
         with pytest.raises(BadOrder):
             CurveParams(curve.p, curve.a.value, curve.b.value, *curve.g.coords(), n + 1)
         for k in (n + 1, 2 * n - 1, 16 * n + 3, (n << 70) + 5, (1 << (n.bit_length() + 9)) - 1):

@@ -1,3 +1,4 @@
+import faulthandler
 import random
 import re
 import threading
@@ -23,8 +24,18 @@ from ecelgamal.pipeline import (
     LockHandle,
     SharedRegion,
     TraceEvent,
+    _Cancelled,
     run_encrypt_pipeline,
 )
+
+
+@pytest.fixture(autouse=True)
+def hang_guard():
+    """Waits block without a timeout, so a lost wake-up would hang the run;
+    past 120 s, print every thread's stack and exit instead."""
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 class TestRegionBasics:
@@ -195,6 +206,46 @@ class TestMutualExclusion:
         for t in threads:
             t.join()
         assert grants == [1, 2, 3]
+
+
+class TestAbort:
+    def test_abort_wakes_lock_and_slot_waiters(self):
+        region = SharedRegion()
+        hold = region.acquire(99)
+        outcomes = {}
+
+        def waiter(name, wait):
+            try:
+                wait()
+                outcomes[name] = "returned"
+            except _Cancelled:
+                outcomes[name] = "cancelled"
+
+        # daemons, so that waiters abort() failed to wake cannot keep the
+        # test process alive
+        threads = [
+            threading.Thread(target=waiter, daemon=True,
+                             args=("acquire", lambda: region.acquire(1))),
+            threading.Thread(target=waiter, daemon=True,
+                             args=("slot", lambda: region.wait_for_slot("kPB", written=True))),
+        ]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 5
+        while not region._waiters and time.monotonic() < deadline:
+            time.sleep(0.001)  # until the lock waiter has queued
+        time.sleep(0.05)  # let the slot waiter block as well
+        region.abort()
+        for t in threads:
+            t.join(timeout=5)
+            assert not t.is_alive()
+        assert outcomes == {"acquire": "cancelled", "slot": "cancelled"}
+        # and every later wait fails at once
+        with pytest.raises(_Cancelled):
+            region.acquire(2)
+        with pytest.raises(_Cancelled):
+            region.wait_for_slot("kG", written=True)
+        region.release(hold)
 
 
 def _trace_of(events):
@@ -373,3 +424,44 @@ class TestPipeline:
             run_encrypt_pipeline(tiny, points, public, ks, ExecMode.DUAL)
         assert excinfo.value.worker == 2
         assert "injected fault" in str(excinfo.value)
+
+    @pytest.mark.parametrize("mode, threads", [(ExecMode.SINGLE, []),
+                                               (ExecMode.DUAL, ["pipeline-w2"])],
+                             ids=["single", "dual"])
+    def test_worker_one_is_the_caller(self, tiny, monkeypatch, mode, threads):
+        made = []
+
+        class CountingThread(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self.name)
+
+        monkeypatch.setattr(pipeline_mod.threading, "Thread", CountingThread)
+        points, ks = self._random_inputs(tiny, 20, 37)
+        public = scalar_mul(tiny, 3, tiny.g)
+        run_encrypt_pipeline(tiny, points, public, ks, mode)
+        assert made == threads
+
+    @pytest.mark.parametrize("fault", [RuntimeError, KeyboardInterrupt])
+    def test_worker_one_failure_joins_worker_two(self, tiny, monkeypatch, fault):
+        real = pipeline_mod.scalar_mul
+        calls = {"n": 0}
+
+        def flaky(c, k, pt):
+            # worker 1 computes k*G; fail it on the third block
+            if pt == c.g:
+                calls["n"] += 1
+                if calls["n"] == 3:
+                    raise fault("injected fault")
+            return real(c, k, pt)
+
+        monkeypatch.setattr(pipeline_mod, "scalar_mul", flaky)
+        points, ks = self._random_inputs(tiny, 10, 41)
+        public = scalar_mul(tiny, 3, tiny.g)
+        expected = WorkerFailure if fault is RuntimeError else KeyboardInterrupt
+        with pytest.raises(expected) as excinfo:
+            run_encrypt_pipeline(tiny, points, public, ks, ExecMode.DUAL)
+        if fault is RuntimeError:
+            assert excinfo.value.worker == 1
+        assert "injected fault" in str(excinfo.value)
+        assert "pipeline-w2" not in [t.name for t in threading.enumerate()]
