@@ -1,6 +1,6 @@
 /* Elliptic-curve kernel over prime fields: variable-base scalar
- * multiplication with an optional addend, a fixed-base table for k*G, and
- * the x-window residue search of the codec.
+ * multiplication with an optional addend, fixed-base tables for k*G and
+ * k*P_B, and the x-window residue search of the codec.
  *
  * Plain C, no libpython dependency: the Python side loads this as a shared
  * library through ctypes, so calls release the GIL and two worker threads
@@ -11,22 +11,26 @@
  * p is an odd prime whose top limb, limb nl - 1, is nonzero.
  * Every field multiply is one CIOS Montgomery multiplication, and every
  * inverse is x^(p-2) on it.  Each entry point takes its affine inputs into
- * Montgomery form and its affine outputs out of it; table entries, which
- * only the kernel reads, stay in it.
+ * Montgomery form and its affine outputs out of it; table entries and
+ * eck_base_mul's Jacobian results, which only the kernel reads, stay in it.
  *
  * The accumulator of every scalar multiplication is Jacobian (X, Y, Z) to
- * avoid a field inversion per group operation; inputs and outputs are
- * affine, and every entry point that makes affine points does so through
- * one inversion per batch (Montgomery's trick, jp_batch_affine).  k*P is
- * unique, so each method gives the point the pure-Python path computes:
+ * avoid a field inversion per group operation.  Affine results come from
+ * one inversion per batch (Montgomery's trick, jp_batch_affine), after an
+ * optional affine addend per point (jp_add_finish).  k*P is unique, so
+ * each method gives the point the pure-Python path computes:
  *   eck_mul_add        k * P_i + Q_i for a batch of bases P_i, one scalar:
  *                      a 15-entry table d * P_i per base, then fixed 4-bit
  *                      windows (four doublings, a masked table scan, one
  *                      mixed add); decryption's c2 - s*c1 for every block;
- *   eck_base_table     the affine points d * 16^i * G for d = 1..15, one
+ *   eck_base_table     the affine points d * 16^i * B for d = 1..15, one
  *                      row per 4-bit window, one inversion per row;
- *   eck_base_mul       k * G from that table: one mixed add per nonzero
- *                      window and no doublings;
+ *   eck_base_mul       k * B from that table: one mixed add per nonzero
+ *                      window, no doublings and no inversion, the result
+ *                      left Jacobian for eck_affine;
+ *   eck_affine         J_i + Q_i for Jacobian points J_i of eck_base_mul
+ *                      and affine addends Q_i, all made affine through one
+ *                      inversion; an encryption block's (k*G, P_M + k*P_B);
  *   eck_encode_search  first x of a window with x^3 + ax + b a square, and
  *                      the smaller root, by r = rhs^((p+1)/4) for p = 3 mod 4.
  * Both table reads scan a whole row under a mask, so the digit picks no
@@ -366,7 +370,7 @@ static void jp_add_affine(const ecctx *c, jpoint *r, const jpoint *q,
  * otherwise. */
 
 #define WIN 15    /* nonzero digits of a 4-bit window */
-#define BATCH 64  /* bases per table inversion in eck_mul_add */
+#define BATCH 64  /* bases per table inversion in eck_mul_add; eck_affine's cap */
 
 /* The n points of q as affine entries, through one inversion (Montgomery's
  * trick, Z = 0 counted as 1).  x and y stay in Montgomery form unless
@@ -402,6 +406,25 @@ static void jp_batch_affine(const ecctx *c, const jpoint *q, int n, u64 *out,
         }
         x[2 * nl] = (u64)inf;
     }
+}
+
+/* q_i += Q_i for the n plain entries Q_i of adds (NULL: no addend), then
+ * all n points as plain entries in out, through one inversion.  pre is
+ * scratch of n * nl limbs. */
+static void jp_add_finish(const ecctx *c, jpoint *q, int n, const u64 *adds,
+                          u64 *out, u64 *pre) {
+    int nl = c->nl, el = 2 * nl + 1;
+
+    for (int i = 0; adds && i < n; i++) {
+        const u64 *in = adds + (size_t)i * el;
+        if (!in[2 * nl]) {
+            u64 x[MAXL], y[MAXL];
+            to_mont(c, x, in);
+            to_mont(c, y, in + nl);
+            jp_add_affine(c, &q[i], &q[i], x, y);
+        }
+    }
+    jp_batch_affine(c, q, n, out, pre, 1);
 }
 
 /* row[d - 1] = d * B for d = 1..15, B = (x, y) affine in Montgomery form,
@@ -463,21 +486,15 @@ EXPORT int eck_mul_add(const u64 *p, int nl, const u64 *a,
 
         for (int i = 0; i < n; i++) {  /* the tables are affine: reuse jp for the sums */
             jpoint *acc = &jp[i];
-            const u64 *q = adds ? adds + (size_t)(first + i) * el : NULL;
             jp_set_inf(acc, nl);
             for (int w = windows - 1; w >= 0; w--) {
                 for (int s = 0; s < 4; s++) jp_double(&ctx, acc, acc);
                 jp_add_digit(&ctx, acc, tab + (size_t)i * WIN * el,
                              (k[w / 16] >> (4 * (w % 16))) & 15);
             }
-            if (q && !q[2 * nl]) {
-                u64 x[MAXL], y[MAXL];
-                to_mont(&ctx, x, q);
-                to_mont(&ctx, y, q + nl);
-                jp_add_affine(&ctx, acc, acc, x, y);
-            }
         }
-        jp_batch_affine(&ctx, jp, n, out + (size_t)first * el, pre, 1);
+        jp_add_finish(&ctx, jp, n, adds ? adds + (size_t)first * el : NULL,
+                      out + (size_t)first * el, pre);
     }
     free(jp);
     return 0;
@@ -513,28 +530,49 @@ EXPORT int eck_base_table(const u64 *p, int nl, const u64 *a,
     return 0;
 }
 
-/* k * G from a table of eck_base_table; k has (rows + 15) / 16 limbs and
- * k < 16^rows.  Returns 1 when the result is the identity, 0 for an affine
- * result written to (rx, ry), -1 on invalid arguments. */
+/* k * B from a table of eck_base_table; k has (rows + 15) / 16 limbs and
+ * k < 16^rows.  The result stays Jacobian: jac gets X, Y and Z, nl limbs
+ * each in Montgomery form, with Z = 0 (and X = Y = 0) for the identity.
+ * Returns 0, or -1 on invalid arguments. */
 EXPORT int eck_base_mul(const u64 *p, int nl, const u64 *a,
-                        const u64 *table, int rows, const u64 *k,
-                        u64 *rx, u64 *ry) {
+                        const u64 *table, int rows, const u64 *k, u64 *jac) {
     ecctx ctx;
     jpoint acc;
-    u64 res[2 * MAXL + 1], pre[MAXL];
     int el = 2 * nl + 1;
 
     if (nl < 1 || nl > MAXL || rows < 1) return -1;
     ctx_init(&ctx, p, nl, a);
-    jp_set_inf(&acc, nl);
+    memset(&acc, 0, sizeof acc);
     for (int row = 0; row < rows; row++) {
         jp_add_digit(&ctx, &acc, table + (size_t)row * WIN * el,
                      (k[row / 16] >> (4 * (row % 16))) & 15);
     }
-    jp_batch_affine(&ctx, &acc, 1, res, pre, 1);
-    vset(rx, res, nl);
-    vset(ry, res + nl, nl);
-    return (int)res[2 * nl];
+    vset(jac, acc.X, nl);
+    vset(jac + nl, acc.Y, nl);
+    vset(jac + 2 * nl, acc.Z, nl);
+    return 0;
+}
+
+/* out_i = J_i + Q_i for the `count` Jacobian points J_i of jac, laid out as
+ * eck_base_mul writes them, and the plain entries Q_i of adds (NULL: no
+ * addend), as plain entries through one inversion.  count is at most
+ * BATCH.  Returns 0, or -1 on invalid arguments. */
+EXPORT int eck_affine(const u64 *p, int nl, const u64 *a, int count,
+                      const u64 *jac, const u64 *adds, u64 *out) {
+    ecctx ctx;
+    jpoint q[BATCH];
+    u64 pre[BATCH * MAXL];
+
+    if (nl < 1 || nl > MAXL || count < 1 || count > BATCH) return -1;
+    ctx_init(&ctx, p, nl, a);
+    for (int i = 0; i < count; i++) {
+        const u64 *in = jac + (size_t)i * 3 * nl;
+        vset(q[i].X, in, nl);
+        vset(q[i].Y, in + nl, nl);
+        vset(q[i].Z, in + 2 * nl, nl);
+    }
+    jp_add_finish(&ctx, q, count, adds, out, pre);
+    return 0;
 }
 
 /* ---- the codec's x-window search ---- */
@@ -626,15 +664,17 @@ static double now_us(void) {
 }
 
 /* µs per point of eck_mul_add alone (count 1, no addend) and in a batch
- * with addends (count 256, decryption's shape), per fixed-base k*G, and per
- * 32-candidate encode search on one 4-limb curve */
+ * with addends (count 256, decryption's shape), per fixed-base k*G left
+ * Jacobian, per eck_affine of two points with an addend on one (the add
+ * stage of an encryption block), and per 32-candidate encode search on
+ * one 4-limb curve */
 static void bench_curve(const char *label, const u64 *p, const u64 *a, const u64 *b,
                         const u64 *gx, const u64 *gy, int iters) {
     enum { EL = 9, COUNT = 256 };
     static u64 table[64 * WIN * 9], pts[COUNT * EL], out[COUNT * EL];
     u64 k[4] = {0x0011223344556677ULL, 0x6789ABCDEF001122ULL,
                 0x0ADC0DE0DEADBEEFULL, 0x0C0FFEE0FACADE0BULL};
-    u64 rx[4], ry[4], x0[4] = {0, 0, 0, 0};
+    u64 rx[4], ry[4], x0[4] = {0, 0, 0, 0}, jac[2 * 12], adds[2 * EL] = {0};
     for (int i = 0; i < COUNT; i++) {
         memcpy(pts + i * EL, gx, 32);
         memcpy(pts + i * EL + 4, gy, 32);
@@ -659,9 +699,15 @@ static void bench_curve(const char *label, const u64 *p, const u64 *a, const u64
     t0 = now_us();
     for (int i = 0; i < iters; i++) {
         k[0] += 1;
-        eck_base_mul(p, 4, a, table, 64, k, rx, ry);
+        eck_base_mul(p, 4, a, table, 64, k, jac + 12 * (i & 1));
     }
     double fixed = (now_us() - t0) / iters;
+
+    adds[EL - 1] = 1;                       /* c1: no addend */
+    memcpy(adds + EL, out + EL, 8 * EL);    /* c2: an affine point of the batch */
+    t0 = now_us();
+    for (int i = 0; i < iters; i++) eck_affine(p, 4, a, 2, jac, adds, out);
+    double affine = (now_us() - t0) / iters;
 
     t0 = now_us();
     for (int i = 0; i < iters; i++) {
@@ -670,8 +716,9 @@ static void bench_curve(const char *label, const u64 *p, const u64 *a, const u64
     }
     double encode = (now_us() - t0) / iters;
     printf("%s: mul_add %.1f us/point at count 1, %.1f us/point at count %d; "
-           "base-table k*G %.1f us (table build %.0f us), encode search %.1f us\n",
-           label, single, batch, COUNT, fixed, build, encode);
+           "base-table k*G %.1f us Jacobian (table build %.0f us), "
+           "affine of 2 with an addend %.1f us, encode search %.1f us\n",
+           label, single, batch, COUNT, fixed, build, affine, encode);
 }
 
 int main(void) {

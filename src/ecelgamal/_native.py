@@ -95,9 +95,12 @@ class Kernel:
         # p, nl, a, gx, gy, rows, table
         self._table = _bind(lib.eck_base_table, _U64P, _INT, _U64P, _U64P, _U64P,
                             _INT, _U64P)
-        # p, nl, a, table, rows, k, rx, ry
+        # p, nl, a, table, rows, k, jac
         self._base_mul = _bind(lib.eck_base_mul, _U64P, _INT, _U64P, _U64P, _INT,
-                               _U64P, _U64P, _U64P)
+                               _U64P, _U64P)
+        # p, nl, a, count, jac, adds, out
+        self._affine = _bind(lib.eck_affine, _U64P, _INT, _U64P, _INT, _U64P,
+                             _U64P, _U64P)
         # p, nl, a, b, x0, count, rx, ry
         self._search = _bind(lib.eck_encode_search, _U64P, _INT, _U64P, _U64P,
                              _U64P, ctypes.c_uint64, _U64P, _U64P)
@@ -105,18 +108,6 @@ class Kernel:
     @staticmethod
     def _limbs(value: int, nl: int):
         return (ctypes.c_uint64 * nl).from_buffer_copy(value.to_bytes(nl * 8, "little"))
-
-    @staticmethod
-    def _pair(rc: int, rx, ry, what: str):
-        """The (x, y) a kernel call wrote, or None for its 'no point' code 1."""
-        if rc == 1:
-            return None
-        if rc != 0:
-            raise RuntimeError(f"kernel rejected {what} (rc={rc})")
-        return (
-            int.from_bytes(bytes(rx), "little"),
-            int.from_bytes(bytes(ry), "little"),
-        )
 
     def field_context(self, p: int, a: int, b: int):
         """Precomputed per-curve arrays; cache this on the curve object."""
@@ -142,16 +133,20 @@ class Kernel:
         count = len(points)
         if addends is not None and len(addends) != count:
             raise ValueError(f"{len(addends)} addends for {count} points")
-        el = 2 * nl + 1
-        out = (ctypes.c_uint64 * (count * el))()
+        out = (ctypes.c_uint64 * (count * (2 * nl + 1)))()
         adds = None if addends is None else self._entries(addends, nl)
         rc = self._mul_add(p_arr, nl, a_arr, self._limbs(k, knl), windows, count,
                            self._entries(points, nl), adds, out)
         if rc != 0:
             raise RuntimeError(f"kernel rejected multiply-add (rc={rc})")
+        return self._points(out, nl)
+
+    @staticmethod
+    def _points(out, nl: int):
+        """The (x, y) pairs, or None for the identity, of an entry array."""
         raw, size = bytes(out), 8 * nl
         results = []
-        for i in range(0, count * 8 * el, 8 * el):
+        for i in range(0, len(raw), 2 * size + 8):
             if raw[i + 2 * size]:
                 results.append(None)
             else:
@@ -189,14 +184,38 @@ class Kernel:
         return rows, table
 
     def base_mul(self, ctx, table, k: int):
-        """k * g for the base g of `table`; 0 <= k < n, the table's bound."""
+        """k * g for the base g of `table`, 0 <= k < n, the table's bound.
+
+        The result is Jacobian and opaque: it is an argument for affine()
+        and nothing else.  No inversion is made.
+        """
         nl, p_arr, a_arr, _ = ctx
         rows, entries = table
-        k_arr = self._limbs(k, (rows + 15) // 16)
-        rx = (ctypes.c_uint64 * nl)()
-        ry = (ctypes.c_uint64 * nl)()
-        rc = self._base_mul(p_arr, nl, a_arr, entries, rows, k_arr, rx, ry)
-        return self._pair(rc, rx, ry, "fixed-base multiplication")
+        jac = (ctypes.c_uint64 * (3 * nl))()
+        rc = self._base_mul(p_arr, nl, a_arr, entries, rows,
+                            self._limbs(k, (rows + 15) // 16), jac)
+        if rc != 0:
+            raise RuntimeError(f"kernel rejected fixed-base multiplication (rc={rc})")
+        return jac
+
+    def affine(self, ctx, jacs, addends=None):
+        """[J + Q for J, Q in zip(jacs, addends)] in one kernel call.
+
+        Each J is a result of base_mul; each Q is an (x, y) pair or None,
+        and addends=None adds nothing.  A result is an (x, y) pair, or None
+        for the identity.  All of them share one inversion; the kernel
+        takes at most 64 points per call.
+        """
+        nl, p_arr, a_arr, _ = ctx
+        count = len(jacs)
+        jac = (ctypes.c_uint64 * (count * 3 * nl)).from_buffer_copy(
+            b"".join(bytes(j) for j in jacs))
+        adds = None if addends is None else self._entries(addends, nl)
+        out = (ctypes.c_uint64 * (count * (2 * nl + 1)))()
+        rc = self._affine(p_arr, nl, a_arr, count, jac, adds, out)
+        if rc != 0:
+            raise RuntimeError(f"kernel rejected affine conversion (rc={rc})")
+        return self._points(out, nl)
 
     def encode_search(self, ctx, x0: int, count: int):
         """First (x, y) on the curve with x in [x0, x0 + count), y the smaller
@@ -205,7 +224,11 @@ class Kernel:
         rx = (ctypes.c_uint64 * nl)()
         ry = (ctypes.c_uint64 * nl)()
         rc = self._search(p_arr, nl, a_arr, b_arr, self._limbs(x0, nl), count, rx, ry)
-        return self._pair(rc, rx, ry, "encode search")
+        if rc == 1:
+            return None
+        if rc != 0:
+            raise RuntimeError(f"kernel rejected encode search (rc={rc})")
+        return int.from_bytes(bytes(rx), "little"), int.from_bytes(bytes(ry), "little")
 
 
 def _try_load(path: Path) -> Kernel | None:

@@ -7,8 +7,11 @@ Scalar multiplication dispatches to the compiled kernel when it is
 available and to a pure-Python double-and-add loop otherwise.  In the
 kernel, a base multiplied many times uses a fixed-base table of 4-bit
 windows: G's table is built on the first k*G and cached on the curve, and
-:func:`fixed_base` builds one for a caller that multiplies another base,
-such as a public key, often enough to repay the build.  Every other base
+:func:`encrypt_stages` builds one for a public key that an encryption call
+multiplies often enough to repay the build.  A table product stays
+Jacobian until one more kernel call adds any addend and makes the points
+affine through one inversion: one per k*G of scalar_mul, and one per
+encryption block for its c1 and c2 together.  Every other base
 goes through one variable-base entry point, :func:`_mul_add`, which forms
 k*P_i + Q_i for a batch of bases under one scalar: a small table per base
 and fixed 4-bit windows, as many as the group order has.  Decryption uses
@@ -278,51 +281,62 @@ def _mul_add(c: CurveParams, k: int, points, addends=None) -> list[Point]:
     return [_add(c, _scalar_mul_python(c, k, P), Q) for P, Q in zip(points, addends)]
 
 
-# A table for a base other than G repays its build after about 10
-# multiplications on secp256k1 (build 2.2 ms; 73 us per table k*P against
-# 298 us by the double-and-add of that time, ctypes included) and about 9
-# on secp256r1 (1.9 ms; 63 against 279 us), on a 2-vCPU Xeon; six runs
-# ranged from 7 to 12.  16 leaves a margin, and calls of a few blocks take
-# the windowed variable-base path.
+# A table of a public key repays its build after 7 to 8 blocks of an
+# encryption call on secp256k1 (build 1.4-1.6 ms; 105-127 us per pipeline
+# block on the tables, add stage included, against 285-349 us by
+# scalar_mul and the add in Python) and about 7 on secp256r1 (1.4-1.5 ms;
+# 104-122 against 300-338 us), in single-mode calls of 64 blocks pinned to
+# one CPU of a 2-vCPU Xeon, medians of four sets of nine runs.  16 leaves
+# a margin, and calls of a few blocks take the windowed variable-base path.
 FIXED_BASE_MIN_USES = 16
 
 
-def _table_mul(c: CurveParams, P: Point):
-    """k -> k*P for 0 <= k < n from a fixed-base table of P, or None off the kernel.
+def _g_table(c: CurveParams, kernel, ctx):
+    """G's fixed-base table, built on first use and cached on the curve.
 
-    P is a member other than the identity.  G's table is cached on the
-    curve; any other base gets a table of its own, which the returned
-    callable keeps alive.  The table is complete before it is used or
-    published, so threads may share the callable.
+    A concurrent first caller sees either no table, and builds its own, the
+    same, or a complete one.
+    """
+    table = c._base_table
+    if table is None:
+        table = c._base_table = kernel.base_table(ctx, c.g.coords(), c.n)
+    return table
+
+
+def encrypt_stages(c: CurveParams, public: Point, uses: int):
+    """(mul_g, mul_pb, finish): the three stages of `uses` encryption blocks.
+
+    For a nonce k in [1, n) and a message point P_M, mul_g(k) and mul_pb(k)
+    give partial results for k*G and k*public, and finish(g_part, pb_part,
+    P_M) gives the block's Points (k*G, P_M + k*public).  public is a member.
+
+    On the kernel, when `uses` reaches FIXED_BASE_MIN_USES and public is
+    not the identity, both products come from fixed-base tables (G's
+    cached one, and one of public built here, which the stages keep alive)
+    and stay Jacobian; finish is one kernel call that adds P_M and makes
+    both points affine through the block's one inversion.  The scalar is
+    not reduced mod n: public need not lie in the subgroup of G, and the
+    table gives the exact k*public for every k below 16^rows >= n.
+    Otherwise mul_g and mul_pb are scalar_mul, and finish adds in Python.
+    The tables are complete before this returns, so threads may share
+    the stages.
     """
     native = _native_context(c)
-    if native is None:
-        return None
+    if native is None or public.is_identity or uses < FIXED_BASE_MIN_USES:
+        return (lambda k: scalar_mul(c, k, c.g),
+                lambda k: scalar_mul(c, k, public),
+                lambda c1, kpb, pm: (c1, _add(c, pm, kpb)))
     kernel, ctx = native
-    if P == c.g:
-        table = c._base_table
-        if table is None:
-            # a concurrent first caller sees either no table (and builds its
-            # own, the same) or a complete one
-            table = kernel.base_table(ctx, P.coords(), c.n)
-            c._base_table = table
-    else:
-        table = kernel.base_table(ctx, P.coords(), c.n)
-    return lambda k: _point_or_identity(kernel.base_mul(ctx, table, k))
+    g_table = _g_table(c, kernel, ctx)
+    pb_table = kernel.base_table(ctx, public.coords(), c.n)
 
+    def finish(g_part, pb_part, pm: Point):
+        c1, c2 = kernel.affine(ctx, [g_part, pb_part], [None, _pair_or_none(pm)])
+        return _point_or_identity(c1), _point_or_identity(c2)
 
-def fixed_base(c: CurveParams, P: Point, uses: int):
-    """k -> k*P for 0 <= k < n by a fixed-base table, or None to use scalar_mul.
-
-    A table is built only on the kernel, for a P other than the identity,
-    and when `uses` multiplications reach FIXED_BASE_MIN_USES.  The scalar
-    is not reduced mod n: P need not lie in the subgroup of G, and the
-    table gives the exact k*P for every k below 16^rows >= n.
-    """
-    _require_member(c, P)
-    if P.is_identity or uses < FIXED_BASE_MIN_USES:
-        return None
-    return _table_mul(c, P)
+    return (lambda k: kernel.base_mul(ctx, g_table, k),
+            lambda k: kernel.base_mul(ctx, pb_table, k),
+            finish)
 
 
 def scalar_mul(c: CurveParams, k: int, P: Point) -> Point:
@@ -336,10 +350,12 @@ def scalar_mul(c: CurveParams, k: int, P: Point) -> Point:
     _require_member(c, P)
     if P.is_identity or k == 0:
         return IDENTITY
-    mul = _table_mul(c, P) if P == c.g else None
-    if mul is None:
+    native = _native_context(c) if P == c.g else None
+    if native is None:
         return _mul_add(c, k, [P])[0]
-    return mul(k % c.n)
+    kernel, ctx = native
+    jac = kernel.base_mul(ctx, _g_table(c, kernel, ctx), k % c.n)
+    return _point_or_identity(kernel.affine(ctx, [jac])[0])
 
 
 # -- brute-force helpers, only for curves small enough to walk --

@@ -1,9 +1,10 @@
 """Single- and dual-worker execution of the per-block encryption work.
 
 Both modes compute, for every message point P_M with nonce k, the pair
-(k*G, P_M + k*P_B).  Single mode runs everything on one worker, the
-calling thread.  Dual mode gives worker 1 the k*G products and the final
-additions, worker 2 the k*P_B products; worker 1 is the calling thread and
+(k*G, P_M + k*P_B) in three stages: k*G, k*P_B, and the add, which also
+finishes both points.  Single mode runs everything on one worker, the
+calling thread.  Dual mode gives worker 1 the k*G products and the add
+stage, worker 2 the k*P_B products; worker 1 is the calling thread and
 worker 2 the one thread the pipeline starts (pipeline-w2).  The two
 exchange partial results through a lock-guarded shared region, one block
 at a time:
@@ -16,10 +17,14 @@ Worker 2 begins once worker 1 has deposited its first k*G.  A worker that
 fails aborts the region, which wakes its partner out of any wait; worker 1
 joins worker 2 before the failure is reported.
 
-On the kernel, a call of at least FIXED_BASE_MIN_USES blocks first builds a
-fixed-base table for P_B, in the calling thread, and every k*P_B of the
-call reads it; the table lives for that one call.  Shorter calls, and the
-pure-Python backend, use scalar_mul.
+The stages come from curve.encrypt_stages, in the calling thread before
+any worker starts.  On the kernel, a call of at least FIXED_BASE_MIN_USES
+blocks builds a fixed-base table for P_B that lives for that one call;
+both products then stay Jacobian (the slots carry them so), and the add
+stage is one kernel call that adds P_M and makes c1 and c2 affine through
+the block's one inversion.  Shorter calls, and the pure-Python backend,
+multiply with scalar_mul, which makes each product affine, and add in
+Python.
 
 The ciphertext blocks are identical across modes for the same nonces; only
 the schedule differs.  Every lock, slot access, and compute span is
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .curve import CurveParams, Point, _add, _require_member, fixed_base, scalar_mul
+from .curve import CurveParams, Point, _require_member, encrypt_stages
 from .errors import (
     EmptySlot,
     LockNotHeld,
@@ -152,7 +157,7 @@ class _Cancelled(Exception):
 
 
 class SharedRegion:
-    """Two point slots plus a fair mutual-exclusion lock.
+    """Two slots for partial results plus a fair mutual-exclusion lock.
 
     Slot reads and writes are only honored through a live LockHandle, which
     models hardware where shared memory is touched strictly inside the
@@ -170,7 +175,7 @@ class SharedRegion:
         self._changed = threading.Condition(self._mutex)
         self._owner: int | None = None
         self._waiters: deque[tuple[int, threading.Event]] = deque()
-        self._values: dict[str, Point | None] = {s: None for s in self.SLOTS}
+        self._values: dict[str, object] = {s: None for s in self.SLOTS}
         self._written: dict[str, bool] = {s: False for s in self.SLOTS}
         self._aborted = False
 
@@ -226,14 +231,6 @@ class SharedRegion:
             self._waiters.clear()
             self._changed.notify_all()
 
-    @property
-    def locked(self) -> bool:
-        return self._owner is not None
-
-    @property
-    def owner(self) -> int | None:
-        return self._owner
-
     # -- slot access, valid only while holding the lock --
 
     def _check_held(self, handle: LockHandle, slot: str) -> None:
@@ -243,7 +240,7 @@ class SharedRegion:
                 or not handle.alive or self._owner != handle.worker):
             raise LockNotHeld(f"slot {slot!r} access without holding the lock")
 
-    def write(self, handle: LockHandle, slot: str, value: Point) -> None:
+    def write(self, handle: LockHandle, slot: str, value) -> None:
         self._check_held(handle, slot)
         with self._changed:
             if self._written[slot]:
@@ -254,7 +251,7 @@ class SharedRegion:
         if handle.recorder:
             handle.recorder("write_slot", slot)
 
-    def read(self, handle: LockHandle, slot: str) -> Point:
+    def read(self, handle: LockHandle, slot: str):
         self._check_held(handle, slot)
         if not self._written[slot]:
             raise EmptySlot(f"slot {slot!r} is empty")
@@ -314,10 +311,8 @@ def run_encrypt_pipeline(
         _require_member(c, pt, f"message point {i}")
     _require_member(c, public, "public point")
     ks = _validated_nonces(c, nonces, len(points))
-    # built before the workers start, so both modes share it read-only; the
-    # workers add with _add, since every operand is a member checked above
-    # or a multiple of one
-    mul_pb = fixed_base(c, public, len(points)) or (lambda k: scalar_mul(c, k, public))
+    # made before the workers start, so both modes share them read-only
+    mul_g, mul_pb, finish = encrypt_stages(c, public, len(points))
 
     out: list[CiphertextBlock] = []
     w2_failure: list[BaseException] = []
@@ -329,13 +324,13 @@ def run_encrypt_pipeline(
         def worker_one():
             for pm, k in zip(points, ks):
                 rec("compute_start")
-                c1 = scalar_mul(c, k, c.g)
+                kg = mul_g(k)
                 rec("compute_end")
                 rec("compute_start")
                 kpb = mul_pb(k)
                 rec("compute_end")
                 rec("compute_start")
-                c2 = _add(c, pm, kpb)
+                c1, c2 = finish(kg, kpb, pm)
                 rec("compute_end")
                 out.append(CiphertextBlock(c1, c2))
 
@@ -372,25 +367,25 @@ def run_encrypt_pipeline(
             try:
                 for pm, k in zip(points, ks):
                     rec1("compute_start")
-                    c1 = scalar_mul(c, k, c.g)
+                    kg = mul_g(k)
                     rec1("compute_end")
 
                     handle = region.acquire(1, rec1)
-                    region.write(handle, SharedRegion.SLOT_KG, c1)
+                    region.write(handle, SharedRegion.SLOT_KG, kg)
                     region.release(handle)
 
                     # collect both halves once the partner result lands
                     region.wait_for_slot(SharedRegion.SLOT_KPB, written=True)
                     handle = region.acquire(1, rec1)
-                    c1_out = region.read(handle, SharedRegion.SLOT_KG)
+                    kg = region.read(handle, SharedRegion.SLOT_KG)
                     kpb = region.read(handle, SharedRegion.SLOT_KPB)
                     region.reset(handle)
                     region.release(handle)
 
                     rec1("compute_start")
-                    c2 = _add(c, pm, kpb)
+                    c1, c2 = finish(kg, kpb, pm)
                     rec1("compute_end")
-                    out.append(CiphertextBlock(c1_out, c2))
+                    out.append(CiphertextBlock(c1, c2))
             finally:
                 # wakes worker 2 if this loop raised or had no block; once
                 # both loops are done, worker 2 waits for nothing more

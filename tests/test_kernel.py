@@ -3,9 +3,10 @@ tables and x-window search against pure Python.
 
 The field multiply and inverse must agree with Python ints for every odd
 prime the kernel takes.  eck_mul_add (through decrypt and scalar_mul), the
-cached k*G table, the encryption pipeline's per-call table for k*P_B and
-the search must give exactly the points the pure-Python path gives: k*P is
-unique, and so is the smallest-x embedding of a block.
+cached k*G table, the encryption pipeline's per-call table for k*P_B, its
+add stage (eck_affine) and the search must give exactly the points the
+pure-Python path gives: k*P is unique, and so is the smallest-x embedding
+of a block.
 """
 
 import ctypes
@@ -270,6 +271,22 @@ class TestFixedBase:
                 with pytest.raises(BadOrder):
                     CurveParams(c.p, c.a.value, c.b.value, *c.g.coords(), n)
 
+    def test_affine_count_one_and_bounds(self, curve):
+        kernel, ctx = curve_mod._native_context(curve)
+        table = curve_mod._g_table(curve, kernel, ctx)
+        rng = random.Random(f"affine:{curve.name}")
+        k = rng.randrange(1, curve.n)
+        kg = pure(scalar_mul, curve, k, curve.g)
+        q = pure(scalar_mul, curve, rng.randrange(1, curve.n), curve.g)
+        jac = kernel.base_mul(ctx, table, k)
+        assert kernel.affine(ctx, [jac]) == [kg.coords()]
+        sum_kq = curve_mod._add(curve, kg, q)
+        assert kernel.affine(ctx, [jac], [q.coords()]) == [sum_kq.coords()]
+        assert kernel.affine(ctx, [kernel.base_mul(ctx, table, 0)], [None]) == [None]
+        for jacs in ([], [jac] * 65):  # count 0, and one above the cap
+            with pytest.raises(RuntimeError, match=r"affine conversion \(rc=-1\)"):
+                kernel.affine(ctx, jacs)
+
 
 class TestWindowSearch:
     def test_agrees_with_python(self, curve):
@@ -413,3 +430,29 @@ class TestPerCallTable:
             run_encrypt_pipeline(tiny, points, public, ks, ExecMode.DUAL)
         assert excinfo.value.worker == 2
         assert "injected fault" in str(excinfo.value)
+
+    @pytest.mark.parametrize("mode", list(ExecMode), ids=lambda m: m.value)
+    def test_add_stage_edge_cases(self, curve, mode):
+        # P_M = k*P_B takes jp_add_affine's doubling branch, P_M = -k*P_B
+        # gives c2 = O, and P_M = O adds nothing
+        points, public, ks = self.inputs(curve, 24)
+        for i, k in enumerate(ks[:18]):
+            kpb = pure(scalar_mul, curve, k, public)
+            points[i] = (kpb, curve_mod._neg(curve, kpb), IDENTITY)[i % 3]
+        expected, _ = pure(run_encrypt_pipeline, curve, points, public, ks, mode)
+        assert [b.c2 for b in expected[1:18:3]] == [IDENTITY] * 6
+        assert run_encrypt_pipeline(curve, points, public, ks, mode)[0] == expected
+
+    @pytest.mark.parametrize("mode", list(ExecMode), ids=lambda m: m.value)
+    def test_public_of_small_order(self, tiny, mode):
+        # on (23, 1, 1, 2G, 14), P_B of order 2 or 7 gives k*P_B = O for
+        # every even k, or for k = 7
+        c = CurveParams(23, 1, 1, *scalar_mul(tiny, 2, tiny.g).coords(), 14)
+        members = enumerate_points(tiny)
+        ks = [1 + i % (c.n - 1) for i in range(26)]
+        for public in (Point(4, 0), scalar_mul(tiny, 4, tiny.g)):
+            rng = random.Random(f"small-order:{public}")
+            points = [rng.choice(members) for _ in ks]
+            expected, _ = pure(run_encrypt_pipeline, c, points, public, ks, mode)
+            assert any(b.c2 == pm for b, pm in zip(expected, points))
+            assert run_encrypt_pipeline(c, points, public, ks, mode)[0] == expected

@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+from ecelgamal import _native
+from ecelgamal import curve as curve_mod
 from ecelgamal import pipeline as pipeline_mod
 from ecelgamal.curve import IDENTITY, Point, scalar_mul
 from ecelgamal.elgamal import decrypt_block, keygen
@@ -41,9 +43,7 @@ def hang_guard():
 class TestRegionBasics:
     def test_new_region_unlocked_and_empty(self):
         region = SharedRegion()
-        assert not region.locked
-        assert region.owner is None
-        handle = region.acquire(1)
+        handle = region.acquire(1)  # free: a held lock would block here
         for slot in SharedRegion.SLOTS:
             with pytest.raises(EmptySlot):
                 region.read(handle, slot)
@@ -59,10 +59,14 @@ class TestRegionBasics:
     def test_acquire_release_cycle(self):
         region = SharedRegion()
         h1 = region.acquire(1)
-        assert region.locked and region.owner == 1
+        # held by worker 1: worker 2's handle may not release it
+        with pytest.raises(NotOwner):
+            region.release(LockHandle(region, 2))
         region.release(h1)
-        assert not region.locked
-        h2 = region.acquire(1)
+        # free again: worker 2 takes it at once, and then owns it
+        h2 = region.acquire(2)
+        with pytest.raises(NotOwner):
+            region.release(LockHandle(region, 1))
         region.release(h2)
 
     def test_reentrant_acquire_detected(self):
@@ -406,7 +410,7 @@ class TestPipeline:
         assert decrypt_block(tiny, blocks[0], 3) == IDENTITY
 
     def test_worker_failure_aborts_with_id(self, tiny, monkeypatch):
-        real = pipeline_mod.scalar_mul
+        real = curve_mod.scalar_mul
         calls = {"n": 0}
 
         def flaky(c, k, pt):
@@ -417,7 +421,7 @@ class TestPipeline:
                     raise RuntimeError("injected fault")
             return real(c, k, pt)
 
-        monkeypatch.setattr(pipeline_mod, "scalar_mul", flaky)
+        monkeypatch.setattr(curve_mod, "scalar_mul", flaky)
         points, ks = TestPipeline._random_inputs(self, tiny, 10, 31)
         public = scalar_mul(tiny, 3, tiny.g)
         with pytest.raises(WorkerFailure) as excinfo:
@@ -444,7 +448,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("fault", [RuntimeError, KeyboardInterrupt])
     def test_worker_one_failure_joins_worker_two(self, tiny, monkeypatch, fault):
-        real = pipeline_mod.scalar_mul
+        real = curve_mod.scalar_mul
         calls = {"n": 0}
 
         def flaky(c, k, pt):
@@ -455,7 +459,7 @@ class TestPipeline:
                     raise fault("injected fault")
             return real(c, k, pt)
 
-        monkeypatch.setattr(pipeline_mod, "scalar_mul", flaky)
+        monkeypatch.setattr(curve_mod, "scalar_mul", flaky)
         points, ks = self._random_inputs(tiny, 10, 41)
         public = scalar_mul(tiny, 3, tiny.g)
         expected = WorkerFailure if fault is RuntimeError else KeyboardInterrupt
@@ -463,5 +467,58 @@ class TestPipeline:
             run_encrypt_pipeline(tiny, points, public, ks, ExecMode.DUAL)
         if fault is RuntimeError:
             assert excinfo.value.worker == 1
+        assert "injected fault" in str(excinfo.value)
+        assert "pipeline-w2" not in [t.name for t in threading.enumerate()]
+
+
+@pytest.mark.skipif(curve_mod.active_backend() != "native", reason="no native kernel")
+class TestTablePath:
+    """Calls of FIXED_BASE_MIN_USES or more blocks on the kernel: both products
+    from fixed-base tables, and one affine call (one inversion) per block."""
+
+    COUNT = 20
+
+    def inputs(self, c):
+        assert self.COUNT >= curve_mod.FIXED_BASE_MIN_USES
+        points, ks = TestPipeline._random_inputs(self, c, self.COUNT, 43)
+        return points, scalar_mul(c, 3, c.g), ks
+
+    @pytest.mark.parametrize("mode", list(ExecMode), ids=lambda m: m.value)
+    def test_one_inversion_per_block(self, c256, monkeypatch, mode):
+        points, public, ks = self.inputs(c256)
+        calls = {"base_mul": 0, "affine": 0, "invmod": 0}
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(_native.Kernel, "base_mul")
+        counting(_native.Kernel, "affine")
+        counting(curve_mod, "invmod")
+        blocks, _ = run_encrypt_pipeline(c256, points, public, ks, mode)
+        assert len(blocks) == self.COUNT
+        assert calls == {"base_mul": 2 * self.COUNT, "affine": self.COUNT, "invmod": 0}
+
+    def test_affine_failure_on_worker_one(self, c256, monkeypatch):
+        points, public, ks = self.inputs(c256)
+        real = _native.Kernel.affine
+        calls = {"n": 0}
+
+        def flaky(self, ctx, jacs, addends=None):
+            # the add stage runs on worker 1; fail it on the third block
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise RuntimeError("injected fault")
+            return real(self, ctx, jacs, addends)
+
+        monkeypatch.setattr(_native.Kernel, "affine", flaky)
+        with pytest.raises(WorkerFailure) as excinfo:
+            run_encrypt_pipeline(c256, points, public, ks, ExecMode.DUAL)
+        assert excinfo.value.worker == 1
         assert "injected fault" in str(excinfo.value)
         assert "pipeline-w2" not in [t.name for t in threading.enumerate()]
