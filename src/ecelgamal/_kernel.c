@@ -1,6 +1,6 @@
 /* Elliptic-curve kernel over prime fields: variable-base scalar
- * multiplication with an optional addend, fixed-base tables for k*G and
- * k*P_B, and the x-window residue search of the codec.
+ * multiplication, fixed-base tables for k*G and k*P_B, one finish that adds
+ * and makes points affine, and the x-window residue search of the codec.
  *
  * Plain C, no libpython dependency: the Python side loads this as a shared
  * library through ctypes, so calls release the GIL and two worker threads
@@ -12,25 +12,27 @@
  * Every field multiply is one CIOS Montgomery multiplication, and every
  * inverse is x^(p-2) on it.  Each entry point takes its affine inputs into
  * Montgomery form and its affine outputs out of it; table entries and
- * eck_base_mul's Jacobian results, which only the kernel reads, stay in it.
+ * the multiplies' Jacobian results, which only the kernel reads, stay in it.
  *
  * The accumulator of every scalar multiplication is Jacobian (X, Y, Z) to
- * avoid a field inversion per group operation.  Affine results come from
- * one inversion per batch (Montgomery's trick, jp_batch_affine), after an
- * optional affine addend per point (jp_add_finish).  k*P is unique, so
- * each method gives the point the pure-Python path computes:
- *   eck_mul_add        k * P_i + Q_i for a batch of bases P_i, one scalar:
- *                      a 15-entry table d * P_i per base, then fixed 4-bit
- *                      windows (four doublings, a masked table scan, one
- *                      mixed add); decryption's c2 - s*c1 for every block;
+ * avoid a field inversion per group operation, and every multiply leaves
+ * its results so, X, Y and Z in Montgomery form.  eck_affine alone makes
+ * points affine: it adds an optional affine addend to each and shares one
+ * inversion among all of them (Montgomery's trick, jp_batch_affine).  k*P
+ * is unique, so each method gives the point the pure-Python path computes:
+ *   eck_mul            k * P_i for up to BATCH bases P_i, one scalar: a
+ *                      15-entry table d * P_i per base, affine through one
+ *                      inversion, then fixed 4-bit windows (four doublings,
+ *                      a masked table scan, one mixed add);
  *   eck_base_table     the affine points d * 16^i * B for d = 1..15, one
  *                      row per 4-bit window, one inversion per row;
  *   eck_base_mul       k * B from that table: one mixed add per nonzero
- *                      window, no doublings and no inversion, the result
- *                      left Jacobian for eck_affine;
- *   eck_affine         J_i + Q_i for Jacobian points J_i of eck_base_mul
- *                      and affine addends Q_i, all made affine through one
- *                      inversion; an encryption block's (k*G, P_M + k*P_B);
+ *                      window, no doublings and no inversion;
+ *   eck_affine         J_i + Q_i for Jacobian results J_i of the two
+ *                      multiplies and affine addends Q_i, all made affine
+ *                      through one inversion: an encryption block's
+ *                      (k*G, P_M + k*P_B), or decryption's c2 - s*c1 for
+ *                      up to BATCH blocks;
  *   eck_encode_search  first x of a window with x^3 + ax + b a square, and
  *                      the smaller root, by r = rhs^((p+1)/4) for p = 3 mod 4.
  * Both table reads scan a whole row under a mask, so the digit picks no
@@ -370,7 +372,7 @@ static void jp_add_affine(const ecctx *c, jpoint *r, const jpoint *q,
  * otherwise. */
 
 #define WIN 15    /* nonzero digits of a 4-bit window */
-#define BATCH 64  /* bases per table inversion in eck_mul_add; eck_affine's cap */
+#define BATCH 64  /* the cap on points per eck_mul and eck_affine call */
 
 /* The n points of q as affine entries, through one inversion (Montgomery's
  * trick, Z = 0 counted as 1).  x and y stay in Montgomery form unless
@@ -408,25 +410,6 @@ static void jp_batch_affine(const ecctx *c, const jpoint *q, int n, u64 *out,
     }
 }
 
-/* q_i += Q_i for the n plain entries Q_i of adds (NULL: no addend), then
- * all n points as plain entries in out, through one inversion.  pre is
- * scratch of n * nl limbs. */
-static void jp_add_finish(const ecctx *c, jpoint *q, int n, const u64 *adds,
-                          u64 *out, u64 *pre) {
-    int nl = c->nl, el = 2 * nl + 1;
-
-    for (int i = 0; adds && i < n; i++) {
-        const u64 *in = adds + (size_t)i * el;
-        if (!in[2 * nl]) {
-            u64 x[MAXL], y[MAXL];
-            to_mont(c, x, in);
-            to_mont(c, y, in + nl);
-            jp_add_affine(c, &q[i], &q[i], x, y);
-        }
-    }
-    jp_batch_affine(c, q, n, out, pre, 1);
-}
-
 /* row[d - 1] = d * B for d = 1..15, B = (x, y) affine in Montgomery form,
  * as O + B and then 14 mixed additions; all identities when inf is set. */
 static void jp_row(const ecctx *c, jpoint *row, const u64 *x, const u64 *y, int inf) {
@@ -449,54 +432,55 @@ static void jp_add_digit(const ecctx *c, jpoint *acc, const u64 *entries, u64 di
     if (digit != 0 && !sel[2 * nl]) jp_add_affine(c, acc, acc, sel, sel + nl);
 }
 
-/* R_i = k * P_i + Q_i for the `count` entries P_i of pts and Q_i of adds
- * (adds may be NULL: no addend).  Inputs and outputs are plain entries;
- * results go to out.  k has (windows + 15) / 16 limbs, of which `windows`
- * 4-bit windows are read, so the caller fixes the loop count from public
- * widths.  Each base gets a table d * P_i, d = 1..15, whose entries become
- * affine through one inversion per BATCH bases; each window then takes
- * four doublings, a masked scan of the table and one mixed add, and the
- * results become affine through one more inversion per batch.  Returns 0,
- * -1 on invalid arguments, -2 when scratch memory cannot be had. */
-EXPORT int eck_mul_add(const u64 *p, int nl, const u64 *a,
-                       const u64 *k, int windows, int count,
-                       const u64 *pts, const u64 *adds, u64 *out) {
+/* q as 3 * nl limbs of out: X, Y, Z in Montgomery form; all zero for O */
+static void jp_store(const ecctx *c, u64 *out, const jpoint *q) {
+    vset(out, q->X, c->nl);
+    vset(out + c->nl, q->Y, c->nl);
+    vset(out + 2 * c->nl, q->Z, c->nl);
+    if (jp_is_inf(q, c->nl)) vzero(out, 3 * c->nl);  /* X, Y may be stale */
+}
+
+/* k * P_i for the `count` plain entries P_i of pts, count at most BATCH,
+ * left Jacobian in jac as eck_base_mul leaves its result (3 * nl limbs per
+ * point).  k has (windows + 15) / 16 limbs, of which `windows` 4-bit
+ * windows are read, so the caller fixes the loop count from public widths.
+ * Each base gets a table d * P_i, d = 1..15, and all the tables become
+ * affine through one inversion; each window then takes four doublings, a
+ * masked scan of the table and one mixed add.  Returns 0, -1 on invalid
+ * arguments, -2 when scratch memory cannot be had. */
+EXPORT int eck_mul(const u64 *p, int nl, const u64 *a, const u64 *k, int windows,
+                   int count, const u64 *pts, u64 *jac) {
     ecctx ctx;
     int el = 2 * nl + 1;
 
-    if (nl < 1 || nl > MAXL || count < 1 || windows < 1 || windows > 16 * MAXKL) return -1;
-    int batch = count < BATCH ? count : BATCH;
-    size_t m = (size_t)batch * WIN;  /* table entries per batch */
-    jpoint *jp = malloc(m * (sizeof *jp + (size_t)(el + nl) * sizeof(u64)));
-    if (!jp) return -2;
-    u64 *tab = (u64 *)(jp + m), *pre = tab + m * el;
+    if (nl < 1 || nl > MAXL || count < 1 || count > BATCH
+        || windows < 1 || windows > 16 * MAXKL) return -1;
+    size_t m = (size_t)count * WIN;  /* table entries */
+    jpoint *rows = malloc(m * (sizeof *rows + (size_t)(el + nl) * sizeof(u64)));
+    if (!rows) return -2;
+    u64 *tab = (u64 *)(rows + m), *pre = tab + m * el;
     ctx_init(&ctx, p, nl, a);
 
-    for (int first = 0; first < count; first += batch) {
-        int n = count - first < batch ? count - first : batch;
-
-        for (int i = 0; i < n; i++) {  /* row i: d * P_i for d = 1..15 */
-            const u64 *in = pts + (size_t)(first + i) * el;
-            u64 x[MAXL], y[MAXL];
-            to_mont(&ctx, x, in);
-            to_mont(&ctx, y, in + nl);
-            jp_row(&ctx, jp + (size_t)i * WIN, x, y, (int)in[2 * nl]);
-        }
-        jp_batch_affine(&ctx, jp, n * WIN, tab, pre, 0);
-
-        for (int i = 0; i < n; i++) {  /* the tables are affine: reuse jp for the sums */
-            jpoint *acc = &jp[i];
-            jp_set_inf(acc, nl);
-            for (int w = windows - 1; w >= 0; w--) {
-                for (int s = 0; s < 4; s++) jp_double(&ctx, acc, acc);
-                jp_add_digit(&ctx, acc, tab + (size_t)i * WIN * el,
-                             (k[w / 16] >> (4 * (w % 16))) & 15);
-            }
-        }
-        jp_add_finish(&ctx, jp, n, adds ? adds + (size_t)first * el : NULL,
-                      out + (size_t)first * el, pre);
+    for (int i = 0; i < count; i++) {  /* row i: d * P_i for d = 1..15 */
+        const u64 *in = pts + (size_t)i * el;
+        u64 x[MAXL], y[MAXL];
+        to_mont(&ctx, x, in);
+        to_mont(&ctx, y, in + nl);
+        jp_row(&ctx, rows + (size_t)i * WIN, x, y, (int)in[2 * nl]);
     }
-    free(jp);
+    jp_batch_affine(&ctx, rows, count * WIN, tab, pre, 0);
+
+    for (int i = 0; i < count; i++) {
+        jpoint acc;
+        jp_set_inf(&acc, nl);
+        for (int w = windows - 1; w >= 0; w--) {
+            for (int s = 0; s < 4; s++) jp_double(&ctx, &acc, &acc);
+            jp_add_digit(&ctx, &acc, tab + (size_t)i * WIN * el,
+                         (k[w / 16] >> (4 * (w % 16))) & 15);
+        }
+        jp_store(&ctx, jac + (size_t)i * 3 * nl, &acc);
+    }
+    free(rows);
     return 0;
 }
 
@@ -532,8 +516,8 @@ EXPORT int eck_base_table(const u64 *p, int nl, const u64 *a,
 
 /* k * B from a table of eck_base_table; k has (rows + 15) / 16 limbs and
  * k < 16^rows.  The result stays Jacobian: jac gets X, Y and Z, nl limbs
- * each in Montgomery form, with Z = 0 (and X = Y = 0) for the identity.
- * Returns 0, or -1 on invalid arguments. */
+ * each in Montgomery form, all zero for the identity.  Returns 0, or -1
+ * on invalid arguments. */
 EXPORT int eck_base_mul(const u64 *p, int nl, const u64 *a,
                         const u64 *table, int rows, const u64 *k, u64 *jac) {
     ecctx ctx;
@@ -542,26 +526,25 @@ EXPORT int eck_base_mul(const u64 *p, int nl, const u64 *a,
 
     if (nl < 1 || nl > MAXL || rows < 1) return -1;
     ctx_init(&ctx, p, nl, a);
-    memset(&acc, 0, sizeof acc);
+    jp_set_inf(&acc, nl);
     for (int row = 0; row < rows; row++) {
         jp_add_digit(&ctx, &acc, table + (size_t)row * WIN * el,
                      (k[row / 16] >> (4 * (row % 16))) & 15);
     }
-    vset(jac, acc.X, nl);
-    vset(jac + nl, acc.Y, nl);
-    vset(jac + 2 * nl, acc.Z, nl);
+    jp_store(&ctx, jac, &acc);
     return 0;
 }
 
 /* out_i = J_i + Q_i for the `count` Jacobian points J_i of jac, laid out as
- * eck_base_mul writes them, and the plain entries Q_i of adds (NULL: no
- * addend), as plain entries through one inversion.  count is at most
- * BATCH.  Returns 0, or -1 on invalid arguments. */
+ * eck_mul and eck_base_mul write them, and the plain entries Q_i of adds
+ * (NULL: no addend), as plain entries through one inversion.  count is at
+ * most BATCH.  Returns 0, or -1 on invalid arguments. */
 EXPORT int eck_affine(const u64 *p, int nl, const u64 *a, int count,
                       const u64 *jac, const u64 *adds, u64 *out) {
     ecctx ctx;
     jpoint q[BATCH];
     u64 pre[BATCH * MAXL];
+    int el = 2 * nl + 1;
 
     if (nl < 1 || nl > MAXL || count < 1 || count > BATCH) return -1;
     ctx_init(&ctx, p, nl, a);
@@ -570,8 +553,14 @@ EXPORT int eck_affine(const u64 *p, int nl, const u64 *a, int count,
         vset(q[i].X, in, nl);
         vset(q[i].Y, in + nl, nl);
         vset(q[i].Z, in + 2 * nl, nl);
+        if (adds && !adds[(size_t)i * el + 2 * nl]) {
+            u64 x[MAXL], y[MAXL];
+            to_mont(&ctx, x, adds + (size_t)i * el);
+            to_mont(&ctx, y, adds + (size_t)i * el + nl);
+            jp_add_affine(&ctx, &q[i], &q[i], x, y);
+        }
     }
-    jp_add_finish(&ctx, q, count, adds, out, pre);
+    jp_batch_affine(&ctx, q, count, out, pre, 1);
     return 0;
 }
 
@@ -646,9 +635,9 @@ EXPORT int eck_field_check(const u64 *p, int nl, const u64 *x, const u64 *y,
 /* Sanity probe used by the loader to verify the library works: computes
  * 2*(3,10) on y^2 = x^3 + x + 1 over F_23 and checks the result is (7,12). */
 EXPORT int eck_selftest(void) {
-    u64 p = 23, a = 1, k = 2, pt[3] = {3, 10, 0}, r[3] = {0};
-    int rc = eck_mul_add(&p, 1, &a, &k, 1, 1, pt, NULL, r);
-    if (rc != 0) return 1;
+    u64 p = 23, a = 1, k = 2, pt[3] = {3, 10, 0}, jac[3], r[3] = {0};
+    if (eck_mul(&p, 1, &a, &k, 1, 1, pt, jac) != 0) return 1;
+    if (eck_affine(&p, 1, &a, 1, jac, NULL, r) != 0) return 1;
     return (r[0] == 7 && r[1] == 12 && r[2] == 0) ? 0 : 2;
 }
 
@@ -663,35 +652,40 @@ static double now_us(void) {
     return ts.tv_sec * 1e6 + ts.tv_nsec / 1e3;
 }
 
-/* µs per point of eck_mul_add alone (count 1, no addend) and in a batch
- * with addends (count 256, decryption's shape), per fixed-base k*G left
- * Jacobian, per eck_affine of two points with an addend on one (the add
- * stage of an encryption block), and per 32-candidate encode search on
- * one 4-limb curve */
+/* µs per point of eck_mul at count 1 and at count 64, per fixed-base k*G,
+ * per point of eck_affine for two points with an addend on one (an
+ * encryption block's add stage) and for 64 points with addends
+ * (decryption's finish of a chunk), and per 32-candidate encode search, on
+ * one 4-limb curve; every result of a multiply is left Jacobian */
 static void bench_curve(const char *label, const u64 *p, const u64 *a, const u64 *b,
                         const u64 *gx, const u64 *gy, int iters) {
-    enum { EL = 9, COUNT = 256 };
-    static u64 table[64 * WIN * 9], pts[COUNT * EL], out[COUNT * EL];
+    enum { EL = 9, JL = 12 };
+    static u64 table[64 * WIN * 9], pts[BATCH * EL], jac[BATCH * JL], out[BATCH * EL];
     u64 k[4] = {0x0011223344556677ULL, 0x6789ABCDEF001122ULL,
                 0x0ADC0DE0DEADBEEFULL, 0x0C0FFEE0FACADE0BULL};
-    u64 rx[4], ry[4], x0[4] = {0, 0, 0, 0}, jac[2 * 12], adds[2 * EL] = {0};
-    for (int i = 0; i < COUNT; i++) {
+    u64 rx[4], ry[4], x0[4] = {0, 0, 0, 0}, adds[2 * EL] = {0};
+    for (int i = 0; i < BATCH; i++) {
         memcpy(pts + i * EL, gx, 32);
         memcpy(pts + i * EL + 4, gy, 32);
     }
     double t0 = now_us();
     for (int i = 0; i < iters; i++) {
         k[0] += 1;
-        eck_mul_add(p, 4, a, k, 64, 1, pts, NULL, out);
+        eck_mul(p, 4, a, k, 64, 1, pts, jac);
     }
     double single = (now_us() - t0) / iters;
 
+    int rounds = iters / 32 + 1;
     t0 = now_us();
-    for (int i = 0; i < iters / 64 + 1; i++) {
+    for (int i = 0; i < rounds; i++) {
         k[0] += 1;
-        eck_mul_add(p, 4, a, k, 64, COUNT, pts, pts, out);
+        eck_mul(p, 4, a, k, 64, BATCH, pts, jac);
     }
-    double batch = (now_us() - t0) / (iters / 64 + 1) / COUNT;
+    double batch = (now_us() - t0) / rounds / BATCH;
+
+    t0 = now_us();
+    for (int i = 0; i < rounds; i++) eck_affine(p, 4, a, BATCH, jac, pts, out);
+    double chunk = (now_us() - t0) / rounds / BATCH;
 
     t0 = now_us();
     eck_base_table(p, 4, a, gx, gy, 64, table);
@@ -699,15 +693,15 @@ static void bench_curve(const char *label, const u64 *p, const u64 *a, const u64
     t0 = now_us();
     for (int i = 0; i < iters; i++) {
         k[0] += 1;
-        eck_base_mul(p, 4, a, table, 64, k, jac + 12 * (i & 1));
+        eck_base_mul(p, 4, a, table, 64, k, jac + JL * (i & 1));
     }
     double fixed = (now_us() - t0) / iters;
 
     adds[EL - 1] = 1;                       /* c1: no addend */
-    memcpy(adds + EL, out + EL, 8 * EL);    /* c2: an affine point of the batch */
+    memcpy(adds + EL, out + EL, 8 * EL);    /* c2: an affine point of the chunk */
     t0 = now_us();
     for (int i = 0; i < iters; i++) eck_affine(p, 4, a, 2, jac, adds, out);
-    double affine = (now_us() - t0) / iters;
+    double block = (now_us() - t0) / iters;
 
     t0 = now_us();
     for (int i = 0; i < iters; i++) {
@@ -715,10 +709,11 @@ static void bench_curve(const char *label, const u64 *p, const u64 *a, const u64
         eck_encode_search(p, 4, a, b, x0, 32, rx, ry);
     }
     double encode = (now_us() - t0) / iters;
-    printf("%s: mul_add %.1f us/point at count 1, %.1f us/point at count %d; "
-           "base-table k*G %.1f us Jacobian (table build %.0f us), "
-           "affine of 2 with an addend %.1f us, encode search %.1f us\n",
-           label, single, batch, COUNT, fixed, build, affine, encode);
+    printf("%s: mul %.1f us/point at count 1, %.1f us/point at count %d; "
+           "affine of %d with addends %.1f us/point; "
+           "base-table k*G %.1f us (table build %.0f us); "
+           "affine of 2 with an addend %.1f us; encode search %.1f us\n",
+           label, single, batch, BATCH, BATCH, chunk, fixed, build, block, encode);
 }
 
 int main(void) {

@@ -25,6 +25,7 @@ from pathlib import Path
 
 MAX_LIMBS = 9       # 576-bit arithmetic, covers moduli up to 521 bits
 MAX_SCALAR_LIMBS = 64
+BATCH = 64          # the cap on points per mul and affine call
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CFLAGS = ["-O3", "-fPIC", "-shared"]
@@ -89,9 +90,9 @@ class Kernel:
 
     def __init__(self, lib: ctypes.CDLL, path: Path):
         self.path = path
-        # p, nl, a, k, windows, count, pts, adds, out
-        self._mul_add = _bind(lib.eck_mul_add, _U64P, _INT, _U64P, _U64P, _INT,
-                              _INT, _U64P, _U64P, _U64P)
+        # p, nl, a, k, windows, count, pts, jac
+        self._mul = _bind(lib.eck_mul, _U64P, _INT, _U64P, _U64P, _INT, _INT,
+                          _U64P, _U64P)
         # p, nl, a, gx, gy, rows, table
         self._table = _bind(lib.eck_base_table, _U64P, _INT, _U64P, _U64P, _U64P,
                             _INT, _U64P)
@@ -116,30 +117,28 @@ class Kernel:
             raise ValueError(f"modulus needs {nl} limbs; kernel supports {MAX_LIMBS}")
         return (nl, self._limbs(p, nl), self._limbs(a % p, nl), self._limbs(b % p, nl))
 
-    def mul_add(self, ctx, k: int, width: int, points, addends=None):
-        """[k * P + Q for P, Q in zip(points, addends)] in one kernel call.
+    def mul(self, ctx, k: int, width: int, points):
+        """[k * P for P in points] in one kernel call, at most BATCH points.
 
-        Points and addends are (x, y) int pairs or None for the identity;
-        addends=None adds nothing, and a result is None for the identity.
-        The kernel reads 4-bit windows of k up to the larger of `width` and
-        k's own bit length, so a caller that passes the width of the group
-        order keeps a secret k's size out of the loop count.
+        Points are (x, y) int pairs or None for the identity.  The results
+        are Jacobian and opaque, as base_mul's are: arguments for affine()
+        and nothing else.  The kernel reads 4-bit windows of k up to the
+        larger of `width` and k's own bit length, so a caller that passes
+        the width of the group order keeps a secret k's size out of the
+        loop count.
         """
         nl, p_arr, a_arr, _ = ctx
         windows = max(1, (max(width, k.bit_length()) + 3) // 4)
         knl = (windows + 15) // 16
         if knl > MAX_SCALAR_LIMBS:
             raise ValueError("scalar too wide for the kernel")
-        count = len(points)
-        if addends is not None and len(addends) != count:
-            raise ValueError(f"{len(addends)} addends for {count} points")
-        out = (ctypes.c_uint64 * (count * (2 * nl + 1)))()
-        adds = None if addends is None else self._entries(addends, nl)
-        rc = self._mul_add(p_arr, nl, a_arr, self._limbs(k, knl), windows, count,
-                           self._entries(points, nl), adds, out)
+        jac = (ctypes.c_uint64 * (len(points) * 3 * nl))()
+        rc = self._mul(p_arr, nl, a_arr, self._limbs(k, knl), windows, len(points),
+                       self._entries(points, nl), jac)
         if rc != 0:
-            raise RuntimeError(f"kernel rejected multiply-add (rc={rc})")
-        return self._points(out, nl)
+            raise RuntimeError(f"kernel rejected multiplication (rc={rc})")
+        raw, step = bytes(jac), 24 * nl  # 3 * nl limbs of 8 bytes per point
+        return [raw[i:i + step] for i in range(0, len(raw), step)]
 
     @staticmethod
     def _points(out, nl: int):
@@ -186,8 +185,8 @@ class Kernel:
     def base_mul(self, ctx, table, k: int):
         """k * g for the base g of `table`, 0 <= k < n, the table's bound.
 
-        The result is Jacobian and opaque: it is an argument for affine()
-        and nothing else.  No inversion is made.
+        The result is Jacobian and opaque, as mul's are: an argument for
+        affine() and nothing else.  No inversion is made.
         """
         nl, p_arr, a_arr, _ = ctx
         rows, entries = table
@@ -201,13 +200,16 @@ class Kernel:
     def affine(self, ctx, jacs, addends=None):
         """[J + Q for J, Q in zip(jacs, addends)] in one kernel call.
 
-        Each J is a result of base_mul; each Q is an (x, y) pair or None,
-        and addends=None adds nothing.  A result is an (x, y) pair, or None
-        for the identity.  All of them share one inversion; the kernel
-        takes at most 64 points per call.
+        Each J is a result of mul or base_mul; each Q is an (x, y) pair or
+        None, and addends=None adds nothing.  A result is an (x, y) pair, or
+        None for the identity.  This is the one call that makes a kernel
+        result affine: all of them share one inversion, and the kernel
+        takes at most BATCH points per call.
         """
         nl, p_arr, a_arr, _ = ctx
         count = len(jacs)
+        if addends is not None and len(addends) != count:
+            raise ValueError(f"{len(addends)} addends for {count} points")
         jac = (ctypes.c_uint64 * (count * 3 * nl)).from_buffer_copy(
             b"".join(bytes(j) for j in jacs))
         adds = None if addends is None else self._entries(addends, nl)

@@ -14,7 +14,7 @@ from random import Random
 from . import curve as curve_mod
 from .bench import BenchConfig, render_report, run_bench
 from .codec import EncodingParams
-from .curve import enumerate_points, get_curve
+from .curve import enumerate_points, get_curve, render_curve_records
 from .elgamal import (
     decrypt,
     encrypt,
@@ -27,7 +27,7 @@ from .elgamal import (
     render_keypair,
 )
 from .errors import EcError, FormatError
-from .field import from_hex, to_hex
+from .field import from_hex
 from .pipeline import ExecMode
 
 
@@ -121,12 +121,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_curve_info(args) -> int:
     c = get_curve(args.curve)
-    gx, gy = c.g.coords()
-    print(f"name = {c.name}")
+    print(render_curve_records([c]), end="")
     print(f"bits = {c.p.bit_length()}")
-    for key, value in (("p", c.p), ("a", c.a.value), ("b", c.b.value),
-                       ("Gx", gx), ("Gy", gy), ("n", c.n)):
-        print(f"{key} = {to_hex(value)}")
     if c.p < curve_mod.ENUMERATION_BOUND:
         print(f"points = {len(enumerate_points(c))}")
     return 0

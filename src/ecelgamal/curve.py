@@ -4,19 +4,14 @@ Points are affine pairs of canonical ints in [0, p) with an explicit
 identity element; the group law is the chord-tangent construction.
 
 Scalar multiplication dispatches to the compiled kernel when it is
-available and to a pure-Python double-and-add loop otherwise.  In the
-kernel, a base multiplied many times uses a fixed-base table of 4-bit
-windows: G's table is built on the first k*G and cached on the curve, and
-:func:`encrypt_stages` builds one for a public key that an encryption call
-multiplies often enough to repay the build.  A table product stays
-Jacobian until one more kernel call adds any addend and makes the points
-affine through one inversion: one per k*G of scalar_mul, and one per
-encryption block for its c1 and c2 together.  Every other base
-goes through one variable-base entry point, :func:`_mul_add`, which forms
-k*P_i + Q_i for a batch of bases under one scalar: a small table per base
-and fixed 4-bit windows, as many as the group order has.  Decryption uses
-it for c2 - s*c1 of every block at once.  All of them produce identical
-points, as any correct method must, since k*P is unique.  Use
+available and to a pure-Python double-and-add loop otherwise.  Every
+kernel multiply leaves its results Jacobian, and one more kernel call,
+affine, adds any addend and makes them affine through one inversion.  G,
+and the public key of an encryption call long enough to repay the build
+(:func:`encrypt_stages`), use fixed-base tables of 4-bit windows; every
+other base the variable-base mul, which :func:`_mul_add` runs in chunks
+of 64 bases, as decryption's c2 - s*c1 does.  All of them produce
+identical points, as any correct method must, since k*P is unique.  Use
 :func:`set_backend` to pin a backend explicitly.
 """
 
@@ -64,10 +59,6 @@ class Point:
     def is_identity(self) -> bool:
         return self.x is None
 
-    @classmethod
-    def identity(cls) -> "Point":
-        return cls(None, None)
-
     def coords(self) -> tuple[int, int]:
         if self.x is None:
             raise ValueError("identity has no coordinates")
@@ -79,7 +70,7 @@ class Point:
         return f"Point({self.x}, {self.y})"
 
 
-IDENTITY = Point.identity()
+IDENTITY = Point(None, None)
 
 
 class CurveParams:
@@ -262,19 +253,24 @@ def _scalar_mul_python(c: CurveParams, k: int, P: Point) -> Point:
 
 
 def _mul_add(c: CurveParams, k: int, points, addends=None) -> list[Point]:
-    """[k*P + Q for P, Q in zip(points, addends)], members all, in one call.
+    """[k*P + Q for P, Q in zip(points, addends)], members all.
 
-    On the kernel this is one eck_mul_add call: fixed 4-bit windows, as
-    many as the wider of n and k has, and shared inversions.  The Python
+    On the kernel the bases go in chunks of _native.BATCH, each one mul
+    call (fixed 4-bit windows, as many as the wider of n and k has) and one
+    affine call that adds the Q and makes the chunk affine.  The Python
     backend multiplies by double-and-add and adds in a loop.  addends=None
     adds nothing.
     """
     native = _native_context(c)
-    if native is not None and points and k.bit_length() <= 64 * _native.MAX_SCALAR_LIMBS:
+    if native is not None and k.bit_length() <= 64 * _native.MAX_SCALAR_LIMBS:
         kernel, ctx = native
-        qs = None if addends is None else [_pair_or_none(Q) for Q in addends]
-        results = kernel.mul_add(ctx, k, c.n.bit_length(),
-                                 [_pair_or_none(P) for P in points], qs)
+        width, step = c.n.bit_length(), _native.BATCH
+        pairs = [_pair_or_none(P) for P in points]
+        qs = [None] * len(pairs) if addends is None else [_pair_or_none(Q) for Q in addends]
+        results = []
+        for i in range(0, len(pairs), step):
+            jacs = kernel.mul(ctx, k, width, pairs[i:i + step])
+            results += kernel.affine(ctx, jacs, qs[i:i + step])
         return [_point_or_identity(xy) for xy in results]
     if addends is None:
         return [_scalar_mul_python(c, k, P) for P in points]
@@ -287,7 +283,7 @@ def _mul_add(c: CurveParams, k: int, points, addends=None) -> list[Point]:
 # scalar_mul and the add in Python) and about 7 on secp256r1 (1.4-1.5 ms;
 # 104-122 against 300-338 us), in single-mode calls of 64 blocks pinned to
 # one CPU of a 2-vCPU Xeon, medians of four sets of nine runs.  16 leaves
-# a margin, and calls of a few blocks take the windowed variable-base path.
+# a margin, and calls of a few blocks take the windowed variable-base mul.
 FIXED_BASE_MIN_USES = 16
 
 
@@ -310,33 +306,36 @@ def encrypt_stages(c: CurveParams, public: Point, uses: int):
     give partial results for k*G and k*public, and finish(g_part, pb_part,
     P_M) gives the block's Points (k*G, P_M + k*public).  public is a member.
 
-    On the kernel, when `uses` reaches FIXED_BASE_MIN_USES and public is
-    not the identity, both products come from fixed-base tables (G's
-    cached one, and one of public built here, which the stages keep alive)
-    and stay Jacobian; finish is one kernel call that adds P_M and makes
-    both points affine through the block's one inversion.  The scalar is
-    not reduced mod n: public need not lie in the subgroup of G, and the
-    table gives the exact k*public for every k below 16^rows >= n.
-    Otherwise mul_g and mul_pb are scalar_mul, and finish adds in Python.
-    The tables are complete before this returns, so threads may share
-    the stages.
+    On the kernel both products stay Jacobian, and finish is one affine
+    call that adds P_M and makes both points affine through the block's
+    one inversion.  k*G comes from G's cached table.  k*public comes from
+    a table of public built here, which the stages keep alive, when `uses`
+    reaches FIXED_BASE_MIN_USES and public is not the identity, and from
+    mul otherwise.  The scalar is not reduced mod n: public need not lie in
+    the subgroup of G, and both give the exact k*public for every k < n.
+    On the Python backend mul_g and mul_pb are scalar_mul, and finish adds
+    in Python.  Any table is complete before this returns, so threads may
+    share the stages.
     """
     native = _native_context(c)
-    if native is None or public.is_identity or uses < FIXED_BASE_MIN_USES:
+    if native is None:
         return (lambda k: scalar_mul(c, k, c.g),
                 lambda k: scalar_mul(c, k, public),
                 lambda c1, kpb, pm: (c1, _add(c, pm, kpb)))
     kernel, ctx = native
     g_table = _g_table(c, kernel, ctx)
-    pb_table = kernel.base_table(ctx, public.coords(), c.n)
+    if public.is_identity or uses < FIXED_BASE_MIN_USES:
+        base, width = [_pair_or_none(public)], c.n.bit_length()
+        mul_pb = lambda k: kernel.mul(ctx, k, width, base)[0]
+    else:
+        pb_table = kernel.base_table(ctx, public.coords(), c.n)
+        mul_pb = lambda k: kernel.base_mul(ctx, pb_table, k)
 
     def finish(g_part, pb_part, pm: Point):
         c1, c2 = kernel.affine(ctx, [g_part, pb_part], [None, _pair_or_none(pm)])
         return _point_or_identity(c1), _point_or_identity(c2)
 
-    return (lambda k: kernel.base_mul(ctx, g_table, k),
-            lambda k: kernel.base_mul(ctx, pb_table, k),
-            finish)
+    return lambda k: kernel.base_mul(ctx, g_table, k), mul_pb, finish
 
 
 def scalar_mul(c: CurveParams, k: int, P: Point) -> Point:

@@ -5,8 +5,9 @@ pair (k*G, P_M + k*P_B); the holder of the secret n_B recovers P_M by
 subtracting n_B times the first component from the second.  Byte-string
 messages are chunked, embedded into points, and processed block by block
 through the execution pipeline in either mode.  Decryption forms
-c2 + n_B * (-c1) for every block of a ciphertext in one variable-base call
-(curve._mul_add), which the kernel serves with shared inversions.
+c2 + n_B * (-c1) for every block of a ciphertext through curve._mul_add,
+which the kernel serves in chunks of 64 blocks: one multiply that leaves
+them Jacobian, and one call that adds c2 and makes them affine.
 
 The scheme is unauthenticated by design: decrypting with a wrong key gives
 garbage, not an error.
@@ -26,6 +27,7 @@ from .codec import (
     split_message,
 )
 from .curve import (
+    IDENTITY,
     CurveParams,
     Point,
     _mul_add,
@@ -75,7 +77,7 @@ def encrypt_block(c: CurveParams, p_m: Point, p_b: Point, k: int) -> CiphertextB
 
 
 def _recover_points(c: CurveParams, blocks, secret: int) -> list[Point]:
-    """c2 - secret * c1 for every block, as secret * (-c1) + c2 in one call."""
+    """c2 - secret * c1 for every block, as secret * (-c1) + c2 by _mul_add."""
     for block in blocks:
         _require_member(c, block.c1, "first component")
         _require_member(c, block.c2, "second component")
@@ -139,7 +141,7 @@ def encrypt(
 def decrypt(ct: Ciphertext, secret: int, c: CurveParams | None = None) -> bytes:
     """Invert encrypt; the curve is resolved from the header when not given.
 
-    Every block's P_M comes from one multiply-add call over the whole
+    Every block's P_M comes from one multiply-add over the whole
     ciphertext, then each is decoded.
     """
     if c is None:
@@ -227,7 +229,7 @@ def render_ciphertext(ct: Ciphertext) -> str:
 def _parse_point_tokens(c: CurveParams, tokens: list[str], lineno: int) -> Point:
     if tokens and tokens[0] == "O":
         tokens.pop(0)
-        return Point.identity()
+        return IDENTITY
     if len(tokens) < 2:
         raise FormatError(f"line {lineno}: truncated point")
     x, y = from_hex(tokens.pop(0)), from_hex(tokens.pop(0))

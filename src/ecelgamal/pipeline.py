@@ -18,12 +18,13 @@ fails aborts the region, which wakes its partner out of any wait; worker 1
 joins worker 2 before the failure is reported.
 
 The stages come from curve.encrypt_stages, in the calling thread before
-any worker starts.  On the kernel, a call of at least FIXED_BASE_MIN_USES
-blocks builds a fixed-base table for P_B that lives for that one call;
-both products then stay Jacobian (the slots carry them so), and the add
-stage is one kernel call that adds P_M and makes c1 and c2 affine through
-the block's one inversion.  Shorter calls, and the pure-Python backend,
-multiply with scalar_mul, which makes each product affine, and add in
+any worker starts.  On the kernel both products stay Jacobian (the slots
+carry them so), and the add stage is one kernel call that adds P_M and
+makes c1 and c2 affine through the block's one inversion.  k*G comes from
+G's cached fixed-base table; k*P_B from a table that a call of at least
+FIXED_BASE_MIN_USES blocks builds for that one call, and from the
+variable-base multiply in shorter calls.  The pure-Python backend
+multiplies with scalar_mul, which makes each product affine, and adds in
 Python.
 
 The ciphertext blocks are identical across modes for the same nonces; only

@@ -1,12 +1,13 @@
-"""The kernel's field arithmetic, variable-base multiply-add, fixed-base
-tables and x-window search against pure Python.
+"""The kernel's field arithmetic, variable-base and fixed-base multiplies,
+affine finish and x-window search against pure Python.
 
 The field multiply and inverse must agree with Python ints for every odd
-prime the kernel takes.  eck_mul_add (through decrypt and scalar_mul), the
-cached k*G table, the encryption pipeline's per-call table for k*P_B, its
-add stage (eck_affine) and the search must give exactly the points the
-pure-Python path gives: k*P is unique, and so is the smallest-x embedding
-of a block.
+prime the kernel takes.  Every multiply leaves its results Jacobian, and
+eck_affine alone adds any addend and makes them affine.  eck_mul (through
+decrypt, scalar_mul and short encryption calls), the cached k*G table, the
+encryption pipeline's per-call table for k*P_B, eck_affine and the search
+must give exactly the points the pure-Python path gives: k*P is unique,
+and so is the smallest-x embedding of a block.
 """
 
 import ctypes
@@ -155,11 +156,12 @@ def random_blocks(c: CurveParams, secret: int, count: int, rng: random.Random):
 
 
 class TestMulAdd:
-    """eck_mul_add: k*P_i + Q_i for a batch of bases, one kernel call."""
+    """curve._mul_add: k*P_i + Q_i for a batch of bases, one eck_mul and one
+    eck_affine call per chunk of 64 bases."""
 
     @pytest.mark.parametrize("count", [1, 2, 16, 40, 130])
     def test_decrypt_agrees_with_python(self, curve, count):
-        # 130 blocks span three of the kernel's 64-base inversion batches
+        # 130 blocks span three of _mul_add's 64-base chunks
         if curve.name == "test-p521" and count == 130:
             count = 70
         rng = random.Random(f"mul-add:{curve.name}:{count}")
@@ -220,16 +222,15 @@ class TestMulAdd:
     def test_invalid_arguments(self, tiny):
         kernel = _native.load_kernel()
         ctx = kernel.field_context(tiny.p, tiny.a.value, tiny.b.value)
-        with pytest.raises(RuntimeError, match=r"multiply-add \(rc=-1\)"):
-            kernel.mul_add(ctx, 3, 5, [])  # count 0
+        for points in ([], [tiny.g.coords()] * (_native.BATCH + 1)):  # count 0, 65
+            with pytest.raises(RuntimeError, match=r"multiplication \(rc=-1\)"):
+                kernel.mul(ctx, 3, 5, points)
         nl, p_arr, a_arr, b_arr = ctx
         wide = (10, (ctypes.c_uint64 * 10)(*p_arr, *[0] * 9), a_arr, b_arr)
-        with pytest.raises(RuntimeError, match=r"multiply-add \(rc=-1\)"):
-            kernel.mul_add(wide, 3, 5, [tiny.g.coords()])  # nl > 9
+        with pytest.raises(RuntimeError, match=r"multiplication \(rc=-1\)"):
+            kernel.mul(wide, 3, 5, [tiny.g.coords()])  # nl > 9
         with pytest.raises(ValueError, match="too wide"):
-            kernel.mul_add(ctx, 1 << (64 * 64), 5, [tiny.g.coords()])
-        with pytest.raises(ValueError, match="1 addends for 2 points"):
-            kernel.mul_add(ctx, 3, 5, [tiny.g.coords()] * 2, [None])
+            kernel.mul(ctx, 1 << (64 * 64), 5, [tiny.g.coords()])
 
 
 class TestFixedBase:
@@ -286,6 +287,8 @@ class TestFixedBase:
         for jacs in ([], [jac] * 65):  # count 0, and one above the cap
             with pytest.raises(RuntimeError, match=r"affine conversion \(rc=-1\)"):
                 kernel.affine(ctx, jacs)
+        with pytest.raises(ValueError, match="1 addends for 2 points"):
+            kernel.affine(ctx, [jac] * 2, [None])
 
 
 class TestWindowSearch:
@@ -434,25 +437,29 @@ class TestPerCallTable:
     @pytest.mark.parametrize("mode", list(ExecMode), ids=lambda m: m.value)
     def test_add_stage_edge_cases(self, curve, mode):
         # P_M = k*P_B takes jp_add_affine's doubling branch, P_M = -k*P_B
-        # gives c2 = O, and P_M = O adds nothing
-        points, public, ks = self.inputs(curve, 24)
-        for i, k in enumerate(ks[:18]):
-            kpb = pure(scalar_mul, curve, k, public)
-            points[i] = (kpb, curve_mod._neg(curve, kpb), IDENTITY)[i % 3]
-        expected, _ = pure(run_encrypt_pipeline, curve, points, public, ks, mode)
-        assert [b.c2 for b in expected[1:18:3]] == [IDENTITY] * 6
-        assert run_encrypt_pipeline(curve, points, public, ks, mode)[0] == expected
+        # gives c2 = O, and P_M = O adds nothing; 4 blocks take mul for
+        # k*P_B, 24 a per-call table
+        for count in (4, 24):
+            points, public, ks = self.inputs(curve, count)
+            for i, k in enumerate(ks[:18]):
+                kpb = pure(scalar_mul, curve, k, public)
+                points[i] = (kpb, curve_mod._neg(curve, kpb), IDENTITY)[i % 3]
+            expected, _ = pure(run_encrypt_pipeline, curve, points, public, ks, mode)
+            c2s = [b.c2 for b in expected[1:18:3]]
+            assert c2s and all(c2 == IDENTITY for c2 in c2s)
+            assert run_encrypt_pipeline(curve, points, public, ks, mode)[0] == expected, count
 
     @pytest.mark.parametrize("mode", list(ExecMode), ids=lambda m: m.value)
     def test_public_of_small_order(self, tiny, mode):
-        # on (23, 1, 1, 2G, 14), P_B of order 2 or 7 gives k*P_B = O for
-        # every even k, or for k = 7
+        # on (23, 1, 1, 2G, 14), P_B = O, or P_B of order 2 or 7, gives
+        # k*P_B = O for every k, every even k, or k = 7
         c = CurveParams(23, 1, 1, *scalar_mul(tiny, 2, tiny.g).coords(), 14)
         members = enumerate_points(tiny)
-        ks = [1 + i % (c.n - 1) for i in range(26)]
-        for public in (Point(4, 0), scalar_mul(tiny, 4, tiny.g)):
-            rng = random.Random(f"small-order:{public}")
-            points = [rng.choice(members) for _ in ks]
-            expected, _ = pure(run_encrypt_pipeline, c, points, public, ks, mode)
-            assert any(b.c2 == pm for b, pm in zip(expected, points))
-            assert run_encrypt_pipeline(c, points, public, ks, mode)[0] == expected
+        for count in (4, 24):
+            ks = [1 + (i + 5) % (c.n - 1) for i in range(count)]  # 6, 7, 8, ...
+            for public in (IDENTITY, Point(4, 0), scalar_mul(tiny, 4, tiny.g)):
+                rng = random.Random(f"small-order:{public}:{count}")
+                points = [rng.choice(members) for _ in ks]
+                expected, _ = pure(run_encrypt_pipeline, c, points, public, ks, mode)
+                assert any(b.c2 == pm for b, pm in zip(expected, points))
+                assert run_encrypt_pipeline(c, points, public, ks, mode)[0] == expected, count

@@ -409,19 +409,30 @@ class TestPipeline:
         blocks, _ = run_encrypt_pipeline(tiny, [IDENTITY], public, [2], ExecMode.DUAL)
         assert decrypt_block(tiny, blocks[0], 3) == IDENTITY
 
-    def test_worker_failure_aborts_with_id(self, tiny, monkeypatch):
-        real = curve_mod.scalar_mul
-        calls = {"n": 0}
+    @staticmethod
+    def fail_stage(monkeypatch, stage: int, fault):
+        """Make stage `stage` of encrypt_stages (0 k*G, 1 k*P_B, 2 the add)
+        raise `fault` on its third call, on either backend."""
+        real = pipeline_mod.encrypt_stages
 
-        def flaky(c, k, pt):
-            # worker 2 computes k*public; fail it on the third block
-            if pt != c.g:
+        def stages(c, public, uses):
+            funcs = list(real(c, public, uses))
+            inner, calls = funcs[stage], {"n": 0}
+
+            def flaky(*args):
                 calls["n"] += 1
                 if calls["n"] == 3:
-                    raise RuntimeError("injected fault")
-            return real(c, k, pt)
+                    raise fault("injected fault")
+                return inner(*args)
 
-        monkeypatch.setattr(curve_mod, "scalar_mul", flaky)
+            funcs[stage] = flaky
+            return tuple(funcs)
+
+        monkeypatch.setattr(pipeline_mod, "encrypt_stages", stages)
+
+    def test_worker_failure_aborts_with_id(self, tiny, monkeypatch):
+        # worker 2 computes k*public; fail it on the third block
+        self.fail_stage(monkeypatch, 1, RuntimeError)
         points, ks = TestPipeline._random_inputs(self, tiny, 10, 31)
         public = scalar_mul(tiny, 3, tiny.g)
         with pytest.raises(WorkerFailure) as excinfo:
@@ -448,18 +459,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("fault", [RuntimeError, KeyboardInterrupt])
     def test_worker_one_failure_joins_worker_two(self, tiny, monkeypatch, fault):
-        real = curve_mod.scalar_mul
-        calls = {"n": 0}
-
-        def flaky(c, k, pt):
-            # worker 1 computes k*G; fail it on the third block
-            if pt == c.g:
-                calls["n"] += 1
-                if calls["n"] == 3:
-                    raise fault("injected fault")
-            return real(c, k, pt)
-
-        monkeypatch.setattr(curve_mod, "scalar_mul", flaky)
+        # worker 1 computes k*G; fail it on the third block
+        self.fail_stage(monkeypatch, 0, fault)
         points, ks = self._random_inputs(tiny, 10, 41)
         public = scalar_mul(tiny, 3, tiny.g)
         expected = WorkerFailure if fault is RuntimeError else KeyboardInterrupt
@@ -473,8 +474,9 @@ class TestPipeline:
 
 @pytest.mark.skipif(curve_mod.active_backend() != "native", reason="no native kernel")
 class TestTablePath:
-    """Calls of FIXED_BASE_MIN_USES or more blocks on the kernel: both products
-    from fixed-base tables, and one affine call (one inversion) per block."""
+    """Encryption on the kernel: k*G from G's table, k*P_B from a per-call
+    table in calls of FIXED_BASE_MIN_USES or more blocks and from mul in
+    shorter ones, and one affine call (one inversion) per block."""
 
     COUNT = 20
 
@@ -485,8 +487,10 @@ class TestTablePath:
 
     @pytest.mark.parametrize("mode", list(ExecMode), ids=lambda m: m.value)
     def test_one_inversion_per_block(self, c256, monkeypatch, mode):
+        # a short call multiplies P_B by mul instead of a table, and still
+        # finishes each block in one affine call
         points, public, ks = self.inputs(c256)
-        calls = {"base_mul": 0, "affine": 0, "invmod": 0}
+        calls = {}
 
         def counting(owner, name):
             real = getattr(owner, name)
@@ -497,12 +501,16 @@ class TestTablePath:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counting(_native.Kernel, "base_mul")
-        counting(_native.Kernel, "affine")
-        counting(curve_mod, "invmod")
-        blocks, _ = run_encrypt_pipeline(c256, points, public, ks, mode)
-        assert len(blocks) == self.COUNT
-        assert calls == {"base_mul": 2 * self.COUNT, "affine": self.COUNT, "invmod": 0}
+        for owner, name in ((_native.Kernel, "base_mul"), (_native.Kernel, "mul"),
+                            (_native.Kernel, "affine"), (curve_mod, "invmod")):
+            counting(owner, name)
+        n = self.COUNT
+        for count, want in ((4, dict(base_mul=4, mul=4, affine=4, invmod=0)),
+                            (n, dict(base_mul=2 * n, mul=0, affine=n, invmod=0))):
+            calls.update(base_mul=0, mul=0, affine=0, invmod=0)
+            blocks, _ = run_encrypt_pipeline(c256, points[:count], public, ks[:count], mode)
+            assert len(blocks) == count
+            assert calls == want, count
 
     def test_affine_failure_on_worker_one(self, c256, monkeypatch):
         points, public, ks = self.inputs(c256)
